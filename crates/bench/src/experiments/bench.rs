@@ -41,8 +41,10 @@
 //! produce bit-identical [`RunResult`]s, and writes the measurements to
 //! `BENCH_sweep.json` (path override: `NBL_BENCH_JSON`). The file is a
 //! history, not a snapshot: each run appends one entry (threads, git
-//! describe, caller-supplied ISO date, timings) to its `trajectory`
-//! array, so speedups are tracked commit over commit. Entries where
+//! describe, caller-supplied ISO date, timings, and the resident tape
+//! footprint as `tape_resident_bytes` / `tape_bytes_per_inst`) to its
+//! `trajectory` array, so speedups and memory are tracked commit over
+//! commit. Entries where
 //! fused replay *loses* to unfused at either pinned thread count are
 //! flagged (`fusion_regressed`) — the gate `scripts/verify.sh` fails on.
 
@@ -374,12 +376,14 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
     }
     let _ = writeln!(
         out,
-        "caches: {} compiles + {} hits, {} tape records + {} replays ({:.2} MiB resident)",
+        "caches: {} compiles + {} hits, {} tape records + {} replays \
+         ({:.2} MiB resident, {:.2} B/inst)",
         compile.compiles,
         compile.hits,
         tapes.records,
         tapes.hits,
-        tapes.resident_bytes as f64 / (1024.0 * 1024.0)
+        tapes.resident_bytes as f64 / (1024.0 * 1024.0),
+        tapes.bytes_per_instruction()
     );
     let _ = writeln!(
         out,
@@ -413,6 +417,7 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
             "\"speedup_warm_vs_interpreted\":{:.3},\"speedup_fused_vs_unfused\":{:.3},",
             "\"speedup_fused_vs_unfused_1t\":{:.3},\"speedup_fused_vs_unfused_4t\":{:.3},",
             "\"speedup_disk_warm_vs_cold\":{:.3},\"fusion_regressed\":{},",
+            "\"tape_resident_bytes\":{},\"tape_bytes_per_inst\":{:.4},",
             "\"bit_identical\":{},\"oracle_checked\":{}}}"
         ),
         json_escape(&opts.date),
@@ -433,6 +438,8 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
         speedup_fused_vs_unfused_4t,
         speedup_disk_warm_vs_cold,
         fusion_regressed,
+        tapes.resident_bytes,
+        tapes.bytes_per_instruction(),
         identical,
         // Set by verify.sh once the oracle gate has passed in the same
         // verification run, so the perf history records whether each

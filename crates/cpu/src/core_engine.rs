@@ -33,7 +33,7 @@ use nbl_mem::system::{
     StoreResponse,
 };
 use nbl_mem::write_buffer::RetirePolicy;
-use nbl_trace::tape::{barrier_index, barrier_is_mem, TapeKind, TraceTape};
+use nbl_trace::tape::{TapeKind, TraceTape};
 
 /// Replay-bubble length for the *fast* causes (bank conflict, dcache
 /// NACK): the load re-enters from the replay queue after a short
@@ -170,10 +170,13 @@ struct GroupEntry {
 }
 
 impl GroupEntry {
+    /// Decodes memory barrier entry `b`, whose address the caller's
+    /// running cursor read from [`TraceTape::mem_addrs`].
     #[inline]
     fn decode(
         tape: &TraceTape,
         b: usize,
+        addr: u64,
         group: &FusedMemGroup,
     ) -> Result<GroupEntry, EngineError> {
         let op = match tape.kind(b) {
@@ -186,7 +189,7 @@ impl GroupEntry {
         };
         Ok(GroupEntry {
             op,
-            decoded: group.decode(tape.addr(b)),
+            decoded: group.decode(Addr(addr)),
         })
     }
 }
@@ -447,22 +450,30 @@ impl Core {
 
     /// Tape-indexed twin of [`Core::execute`]: performs entry `i`'s
     /// operation and stats accounting directly from the packed arrays.
+    /// `m` is the replay loop's running memory-operation cursor: when entry
+    /// `i` is a load or store, its address is `tape.mem_addrs()[m]`;
+    /// otherwise `m` is not read.
     ///
     /// # Errors
     ///
     /// [`EngineError::NoOutstandingFetch`] as for [`Core::execute`], and
     /// [`EngineError::MalformedTape`] if entry `i` is a load with no
     /// recorded destination.
-    pub fn replay_execute(&mut self, tape: &TraceTape, i: usize) -> Result<(), EngineError> {
+    pub fn replay_execute(
+        &mut self,
+        tape: &TraceTape,
+        i: usize,
+        m: usize,
+    ) -> Result<(), EngineError> {
         match tape.kind(i) {
             TapeKind::Alu | TapeKind::Branch => {}
             TapeKind::Load => {
                 let dst = tape.dst(i).ok_or(EngineError::MalformedTape { index: i })?;
-                self.execute_load(tape.addr(i), dst, tape.format(i))?;
+                self.execute_load(Addr(tape.mem_addrs()[m]), dst, tape.format(i))?;
                 self.stats.loads += 1;
             }
             TapeKind::Store => {
-                self.execute_store(tape.addr(i));
+                self.execute_store(Addr(tape.mem_addrs()[m]));
                 self.stats.stores += 1;
             }
         }
@@ -498,6 +509,10 @@ impl Core {
     /// then cannot stall and cannot observe any state change, so it
     /// issues in bulk exactly like a gap entry.
     ///
+    /// Every memory operation is a barrier and every memory barrier is
+    /// visited in order, so addresses come from a running cursor over
+    /// [`TraceTape::mem_addrs`] rather than a per-access rank lookup.
+    ///
     /// # Errors
     ///
     /// The first [`EngineError`] any entry hits.
@@ -506,6 +521,7 @@ impl Core {
         let n = tape.len();
         let mut i = 0; // next instruction index to account for
         let mut j = 0; // next barrier to process
+        let mut m = 0; // next memory operation (address cursor)
         while j < barriers.len() {
             if self.mem.next_event().is_none() {
                 // Quiescent: skip ahead to the next *memory* barrier —
@@ -514,28 +530,31 @@ impl Core {
                 // flag plane lets the scan stride over non-memory spans a
                 // u64 word (64 barriers) at a time.
                 j = tape.next_mem_barrier(j);
-                let next = barriers.get(j).map_or(n, |&b| barrier_index(b));
+                let next = barriers.get(j).map_or(n, |&b| b as usize);
                 if next > i {
                     self.issue_free_run(next - i);
                     i = next;
                 }
                 let Some(&b) = barriers.get(j) else { break };
+                let b = b as usize;
                 // The memory barrier itself: nothing outstanding, so no
                 // drain and no register hazard is possible.
-                self.replay_execute(tape, barrier_index(b))?;
+                self.replay_execute(tape, b, m)?;
                 self.tick();
-                i = barrier_index(b) + 1;
+                i = b + 1;
                 j += 1;
+                m += 1;
             } else {
-                let b = barrier_index(barriers[j]);
+                let b = barriers[j] as usize;
                 if b > i {
                     self.issue_free_run(b - i);
                 }
                 self.drain_fills();
                 self.replay_hazards(tape, b)?;
-                self.replay_execute(tape, b)?;
+                self.replay_execute(tape, b, m)?;
                 self.tick();
                 i = b + 1;
+                m += usize::from(tape.is_mem_barrier(j));
                 j += 1;
             }
         }
@@ -583,27 +602,30 @@ impl Core {
         // Per-engine cursor: the next instruction index to account for.
         let mut cursors = vec![0usize; cores.len()];
         let mut j = 0;
+        // Every engine steps every memory barrier, so one address cursor
+        // serves the whole group.
+        let mut m = 0;
         while j < barriers.len() {
             if cores.iter().all(|c| c.mem.next_event().is_none()) {
                 // Whole group quiescent: one shared chunked scan to the
                 // next memory barrier; the skipped span bulk-issues per
                 // engine at that barrier's free-run below.
                 j = tape.next_mem_barrier(j);
-                let Some(&entry) = barriers.get(j) else { break };
-                let b = barrier_index(entry);
+                let Some(&b) = barriers.get(j) else { break };
+                let b = b as usize;
                 for (core, i) in cores.iter_mut().zip(&mut cursors) {
                     if b > *i {
                         core.issue_free_run(b - *i);
                     }
                     // Nothing outstanding: no drain, no hazard possible.
-                    core.replay_execute(tape, b)?;
+                    core.replay_execute(tape, b, m)?;
                     core.tick();
                     *i = b + 1;
                 }
+                m += 1;
             } else {
-                let entry = barriers[j];
-                let b = barrier_index(entry);
-                let is_mem = barrier_is_mem(entry);
+                let b = barriers[j] as usize;
+                let is_mem = tape.is_mem_barrier(j);
                 for (core, i) in cores.iter_mut().zip(&mut cursors) {
                     let quiescent = core.mem.next_event().is_none();
                     if quiescent && !is_mem {
@@ -619,10 +641,11 @@ impl Core {
                         core.drain_fills();
                         core.replay_hazards(tape, b)?;
                     }
-                    core.replay_execute(tape, b)?;
+                    core.replay_execute(tape, b, m)?;
                     core.tick();
                     *i = b + 1;
                 }
+                m += usize::from(is_mem);
             }
             j += 1;
         }
@@ -672,6 +695,7 @@ impl Core {
         group: &FusedMemGroup,
     ) -> Result<(), EngineError> {
         let barriers = tape.barriers();
+        let addrs = tape.mem_addrs();
         let n = tape.len();
         let mut cursors = vec![0usize; cores.len()];
         let all: u64 = if cores.len() >= 64 {
@@ -686,14 +710,16 @@ impl Core {
             }
         }
         let mut j = 0;
+        let mut m = 0; // next memory operation (address cursor)
         while j < barriers.len() {
             if quiescent == all {
                 // Whole group quiescent: one shared chunked scan to the
                 // next memory barrier, one shared decode of its entry.
                 j = tape.next_mem_barrier(j);
-                let Some(&entry) = barriers.get(j) else { break };
-                let b = barrier_index(entry);
-                let e = GroupEntry::decode(tape, b, group)?;
+                let Some(&b) = barriers.get(j) else { break };
+                let b = b as usize;
+                let e = GroupEntry::decode(tape, b, addrs[m], group)?;
+                m += 1;
                 // The operation is one and the same for the whole group,
                 // so the dispatch happens once out here and each arm is a
                 // tight per-engine loop: free-run span, one direct-mapped
@@ -752,10 +778,10 @@ impl Core {
                     }
                 }
             } else {
-                let entry = barriers[j];
-                let b = barrier_index(entry);
-                if barrier_is_mem(entry) {
-                    let e = GroupEntry::decode(tape, b, group)?;
+                let b = barriers[j] as usize;
+                if tape.is_mem_barrier(j) {
+                    let e = GroupEntry::decode(tape, b, addrs[m], group)?;
+                    m += 1;
                     for (k, (core, i)) in cores.iter_mut().zip(&mut cursors).enumerate() {
                         let was_quiescent = quiescent & (1 << k) != 0;
                         if b > *i {
@@ -819,7 +845,7 @@ impl Core {
                         }
                         core.drain_fills();
                         core.replay_hazards(tape, b)?;
-                        core.replay_execute(tape, b)?;
+                        core.replay_execute(tape, b, m)?;
                         core.tick();
                         *i = b + 1;
                         if core.mem.next_event().is_none() {
@@ -971,7 +997,8 @@ impl Core {
         Ok(())
     }
 
-    /// Tape-indexed twin of [`Core::execute_speculative`].
+    /// Tape-indexed twin of [`Core::execute_speculative`]; `m` is the
+    /// address cursor, as for [`Core::replay_execute`].
     ///
     /// # Errors
     ///
@@ -982,17 +1009,19 @@ impl Core {
         &mut self,
         tape: &TraceTape,
         i: usize,
+        m: usize,
         attr: &mut ReplayAttribution,
     ) -> Result<(), EngineError> {
         match tape.kind(i) {
             TapeKind::Alu | TapeKind::Branch => {}
             TapeKind::Load => {
                 let dst = tape.dst(i).ok_or(EngineError::MalformedTape { index: i })?;
-                self.execute_load_speculative(tape.addr(i), dst, tape.format(i), attr)?;
+                let addr = Addr(tape.mem_addrs()[m]);
+                self.execute_load_speculative(addr, dst, tape.format(i), attr)?;
                 self.stats.loads += 1;
             }
             TapeKind::Store => {
-                self.execute_store_speculative(tape.addr(i));
+                self.execute_store_speculative(Addr(tape.mem_addrs()[m]));
                 self.stats.stores += 1;
             }
         }

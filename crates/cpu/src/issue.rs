@@ -23,7 +23,7 @@ use nbl_core::inst::DynInst;
 use nbl_core::types::Cycle;
 use nbl_mem::event::ReplayCause;
 use nbl_mem::system::MemorySystem;
-use nbl_trace::tape::{barrier_index, TraceTape};
+use nbl_trace::tape::TraceTape;
 
 /// Which issue discipline the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -169,6 +169,7 @@ impl IssueEngine {
         }
         let n = tape.len();
         let mut i = 0;
+        let mut m = 0; // next memory operation (address cursor)
         while i < n {
             if i + 1 == n {
                 // Unpaired tail: buffered, flushed by `finish`.
@@ -177,15 +178,18 @@ impl IssueEngine {
             }
             self.core.drain_fills();
             self.core.replay_hazards(tape, i)?;
-            self.core.replay_execute(tape, i)?;
-            let coissue = !(tape.conflicts(i, i + 1) || tape.is_mem(i) && tape.is_mem(i + 1)) && {
+            self.core.replay_execute(tape, i, m)?;
+            let leader_mem = tape.is_mem(i);
+            m += usize::from(leader_mem);
+            let coissue = !(tape.conflicts(i, i + 1) || leader_mem && tape.is_mem(i + 1)) && {
                 // Fills that completed during the leader's stalls may
                 // have freed the follower's registers this very cycle.
                 self.core.drain_fills();
                 self.core.replay_hazards_clear(tape, i + 1)
             };
             if coissue {
-                self.core.replay_execute(tape, i + 1)?;
+                self.core.replay_execute(tape, i + 1, m)?;
+                m += usize::from(tape.is_mem(i + 1));
                 self.pairs_issued += 1;
                 self.core.tick();
                 i += 2;
@@ -207,25 +211,25 @@ impl IssueEngine {
         let n = tape.len();
         let mut i = 0; // next instruction index to account for
         let mut j = 0; // next barrier to process
+        let mut m = 0; // next memory operation (address cursor)
         while j < barriers.len() {
             if self.core.memory().next_event().is_none() {
                 j = tape.next_mem_barrier(j);
-                let next = barriers.get(j).map_or(n, |&b| barrier_index(b));
+                let next = barriers.get(j).map_or(n, |&b| b as usize);
                 if next > i {
                     self.core.issue_free_run(next - i);
                     i = next;
                 }
                 let Some(&b) = barriers.get(j) else { break };
-                self.core.replay_execute_speculative(
-                    tape,
-                    barrier_index(b),
-                    &mut self.attribution,
-                )?;
+                let b = b as usize;
+                self.core
+                    .replay_execute_speculative(tape, b, m, &mut self.attribution)?;
                 self.core.tick();
-                i = barrier_index(b) + 1;
+                i = b + 1;
                 j += 1;
+                m += 1;
             } else {
-                let b = barrier_index(barriers[j]);
+                let b = barriers[j] as usize;
                 if b > i {
                     self.core.issue_free_run(b - i);
                 }
@@ -235,9 +239,10 @@ impl IssueEngine {
                 self.attribution.stall_cycles[ReplayCause::DcacheMiss.index()] +=
                     self.core.now().since(before);
                 self.core
-                    .replay_execute_speculative(tape, b, &mut self.attribution)?;
+                    .replay_execute_speculative(tape, b, m, &mut self.attribution)?;
                 self.core.tick();
                 i = b + 1;
+                m += usize::from(tape.is_mem_barrier(j));
                 j += 1;
             }
         }

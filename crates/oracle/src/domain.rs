@@ -46,6 +46,7 @@ use nbl_core::hash::FastMap;
 use nbl_core::tag_array::ReplacementKind;
 use nbl_core::types::Addr;
 use nbl_trace::TraceTape;
+use std::cell::Cell;
 
 /// The oracle's verdict for one memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,6 +218,23 @@ fn max_opt2(a: Option<u32>, b: Option<u32>) -> Option<u32> {
     }
 }
 
+/// The growable tables of one analysis, handed from each finished walk to
+/// the next on the same thread. A walk over a full-scale tape grows them
+/// to megabytes; reusing them keeps repeated analyses (one per oracle
+/// cell) from paying for fresh zeroed pages every time.
+#[derive(Default)]
+struct Buffers {
+    records: Vec<BlockRec>,
+    map: FastMap<u64, u32>,
+    sets: Vec<SetState>,
+}
+
+thread_local! {
+    /// This thread's spare [`Buffers`]; [`State::new`] clears them, so
+    /// reuse never carries state from one analysis into the next.
+    static SPARE: Cell<Buffers> = Cell::new(Buffers::default());
+}
+
 struct State {
     geometry: nbl_core::geometry::CacheGeometry,
     rules: Rules,
@@ -231,9 +249,23 @@ struct State {
 }
 
 impl State {
-    fn new(cfg: &OracleConfig) -> State {
+    /// A cold state for `cfg`, built in the (cleared) `spare` tables.
+    fn new(cfg: &OracleConfig, spare: Buffers) -> State {
         let ways = cfg.geometry.ways();
         let walk_cap = (8 * ways as usize) + (2 * cfg.window as usize) + 32;
+        let Buffers {
+            mut records,
+            mut map,
+            mut sets,
+        } = spare;
+        records.clear();
+        map.clear();
+        sets.resize_with(cfg.geometry.num_sets() as usize, SetState::default);
+        for s in &mut sets {
+            s.recency.clear();
+            s.pruned_hi = None;
+            s.pruned_install_hi = None;
+        }
         State {
             geometry: cfg.geometry,
             rules: Rules::for_policy(cfg.replacement, ways),
@@ -242,9 +274,18 @@ impl State {
             write_allocate: cfg.write_allocate,
             walk_cap,
             prune_len: (walk_cap * 2).max(64),
-            records: Vec::new(),
-            map: FastMap::default(),
-            sets: vec![SetState::default(); cfg.geometry.num_sets() as usize],
+            records,
+            map,
+            sets,
+        }
+    }
+
+    /// The state's tables, for the next analysis on this thread.
+    fn into_buffers(self) -> Buffers {
+        Buffers {
+            records: self.records,
+            map: self.map,
+            sets: self.sets,
         }
     }
 
@@ -472,7 +513,7 @@ impl State {
 /// Deterministic and linear-ish in tape length (walks are bounded by a
 /// cap derived from associativity and window).
 pub fn analyze_tape(tape: &TraceTape, cfg: &OracleConfig) -> OracleAnalysis {
-    let mut st = State::new(cfg);
+    let mut st = State::new(cfg, SPARE.take());
     let mut classes = Vec::with_capacity((tape.loads() + tape.stores()) as usize);
     let mut coverage = Coverage::default();
     for op in tape.mem_ops() {
@@ -485,5 +526,66 @@ pub fn analyze_tape(tape: &TraceTape, cfg: &OracleConfig) -> OracleAnalysis {
         }
         classes.push(c);
     }
+    SPARE.set(st.into_buffers());
     OracleAnalysis { classes, coverage }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nbl_core::geometry::CacheGeometry;
+    use nbl_core::inst::DynInst;
+    use nbl_core::types::{LoadFormat, PhysReg};
+
+    /// Loads and stores walking a `region`-byte region at `stride` bytes.
+    fn strided_tape(stride: u64, len: u64, region: u64) -> TraceTape {
+        let mut tape = TraceTape::with_capacity("reuse", 1, 0, len as usize);
+        for i in 0..len {
+            let addr = Addr((i * stride) % region);
+            if i % 3 == 0 {
+                tape.push(DynInst::store(addr, None));
+            } else {
+                tape.push(DynInst::load(addr, PhysReg::int(1), LoadFormat::WORD));
+            }
+        }
+        tape
+    }
+
+    /// The per-thread tables carry no state from one analysis into the
+    /// next: interleaving two tapes under two geometries on one thread
+    /// reproduces what a fresh thread computes for each.
+    #[test]
+    fn reused_buffers_carry_no_state_between_analyses() {
+        let (a, b) = (strided_tape(40, 3000, 1024), strided_tape(72, 2000, 4096));
+        let assoc = OracleConfig {
+            geometry: CacheGeometry::new(2048, 32, 4).expect("4-way"),
+            replacement: ReplacementKind::Lru,
+            write_allocate: true,
+            window: 16,
+        };
+        let direct = OracleConfig {
+            geometry: CacheGeometry::new(256, 32, 1).expect("direct-mapped"),
+            replacement: ReplacementKind::Fifo,
+            write_allocate: false,
+            window: 0,
+        };
+        let fresh = |tape: &TraceTape, cfg: &OracleConfig| {
+            std::thread::scope(|s| s.spawn(|| analyze_tape(tape, cfg)).join())
+                .expect("analysis thread")
+        };
+        let (want_a, want_b) = (fresh(&a, &assoc), fresh(&b, &direct));
+        assert!(want_a.coverage.must_hit > 0 && want_b.coverage.must_miss > 0);
+        for _ in 0..2 {
+            let got = analyze_tape(&a, &assoc);
+            assert_eq!(
+                (got.classes, got.coverage),
+                (want_a.classes.clone(), want_a.coverage)
+            );
+            let got = analyze_tape(&b, &direct);
+            assert_eq!(
+                (got.classes, got.coverage),
+                (want_b.classes.clone(), want_b.coverage)
+            );
+        }
+    }
 }

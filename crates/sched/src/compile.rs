@@ -39,6 +39,12 @@ pub enum CompileError {
     /// More loop-carried registers were requested than the architecture
     /// has (the generators keep well under this).
     TooManyCarried(RegClass),
+    /// The program runs more dynamic instructions than a trace tape can
+    /// index (`u32::MAX`, the width of a barrier entry).
+    TooLong {
+        /// Dynamic instruction count of the compiled program.
+        instructions: u64,
+    },
 }
 
 impl std::fmt::Display for CompileError {
@@ -50,6 +56,11 @@ impl std::fmt::Display for CompileError {
             CompileError::TooManyCarried(c) => {
                 write!(f, "too many loop-carried {c:?} registers")
             }
+            CompileError::TooLong { instructions } => write!(
+                f,
+                "{instructions} dynamic instructions exceed the trace tape limit of {}",
+                u32::MAX
+            ),
         }
     }
 }
@@ -102,8 +113,10 @@ fn assign_carried(program: &Program) -> Result<CarriedAssignment, CompileError> 
 ///
 /// # Errors
 ///
-/// Returns [`CompileError`] if a block cannot be register-allocated or the
-/// program declares more loop-carried values than the register files hold.
+/// Returns [`CompileError`] if a block cannot be register-allocated, the
+/// program declares more loop-carried values than the register files
+/// hold, or it runs more than `u32::MAX` dynamic instructions (the most a
+/// trace tape indexes).
 ///
 /// # Examples
 ///
@@ -140,19 +153,25 @@ pub fn compile(program: &Program, load_latency: u32) -> Result<CompiledProgram, 
             .map_err(|source| CompileError::Alloc { block: bi, source })?;
         blocks.push(mb);
     }
-    Ok(CompiledProgram {
+    let compiled = CompiledProgram {
         name: program.name.clone(),
         load_latency,
         patterns,
         blocks,
         script: program.script.clone(),
-    })
+    };
+    let instructions = compiled.dynamic_instructions();
+    if instructions > u64::from(u32::MAX) {
+        return Err(CompileError::TooLong { instructions });
+    }
+    Ok(compiled)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nbl_trace::exec::Executor;
+    use nbl_trace::ir::{BlockId, ScriptNode};
     use nbl_trace::machine::CountingSink;
     use nbl_trace::workloads::{build, Scale, ALL};
 
@@ -204,6 +223,41 @@ mod tests {
         let (l, s, _) = c.dynamic_mix();
         assert_eq!(sink.loads, l);
         assert_eq!(sink.stores, s);
+    }
+
+    /// The count is static, so a loop of 2³² and more instructions is
+    /// checked without running a single one.
+    #[test]
+    fn programs_longer_than_the_tape_index_width_are_rejected() {
+        let mut p = build("tomcatv", Scale::quick()).unwrap();
+        let looped = |trips| {
+            vec![ScriptNode::Loop {
+                body: vec![ScriptNode::Run {
+                    block: BlockId(0),
+                    times: 1,
+                }],
+                trips,
+            }]
+        };
+        p.script = looped(1);
+        let per_trip = compile(&p, 6).unwrap().dynamic_instructions();
+        let fits = u64::from(u32::MAX) / per_trip;
+        p.script = looped(fits);
+        assert_eq!(
+            compile(&p, 6).unwrap().dynamic_instructions(),
+            fits * per_trip
+        );
+        for trips in [fits + 1, 1 << 32] {
+            p.script = looped(trips);
+            let err = compile(&p, 6).unwrap_err();
+            assert_eq!(
+                err,
+                CompileError::TooLong {
+                    instructions: trips * per_trip
+                }
+            );
+            assert!(err.to_string().contains("trace tape limit"));
+        }
     }
 
     #[test]

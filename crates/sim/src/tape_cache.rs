@@ -8,7 +8,7 @@
 //! The exactly-once mechanics mirror the compile cache (one
 //! [`OnceLock`](std::sync::OnceLock)
 //! slot per key, so concurrent first requests block on the single
-//! in-flight recording), with one addition: tapes are bulk data (13 bytes
+//! in-flight recording), with one addition: tapes are bulk data (about 8 bytes
 //! per dynamic instruction — megabytes per full-scale program), so the
 //! cache enforces a byte budget. When an insertion pushes the resident
 //! total over the cap, the oldest idle tapes (no `Arc` held outside the
@@ -63,6 +63,8 @@ struct State {
     order: VecDeque<Key>,
     /// Bytes held by fully recorded resident tapes.
     bytes: usize,
+    /// Instructions held by fully recorded resident tapes.
+    instructions: u64,
 }
 
 /// Counter snapshot from a [`TapeCache`].
@@ -76,6 +78,20 @@ pub struct TapeStats {
     pub evictions: u64,
     /// Bytes currently held by resident tapes.
     pub resident_bytes: usize,
+    /// Dynamic instructions recorded in the resident tapes (the divisor
+    /// of the resident footprint's bytes per instruction).
+    pub resident_instructions: u64,
+}
+
+impl TapeStats {
+    /// Resident tape bytes per resident instruction (0 when empty).
+    pub fn bytes_per_instruction(&self) -> f64 {
+        if self.resident_instructions == 0 {
+            0.0
+        } else {
+            self.resident_bytes as f64 / self.resident_instructions as f64
+        }
+    }
 }
 
 /// The cache itself. Use [`TapeCache::global`] to share recordings across
@@ -172,6 +188,7 @@ impl TapeCache {
         if inserted_here {
             let mut st = self.state.lock().expect("tape cache lock poisoned");
             st.bytes += tape.bytes();
+            st.instructions += tape.len() as u64;
             st.order.push_back(key);
             self.evict_to_cap(&mut st);
         } else {
@@ -200,6 +217,7 @@ impl TapeCache {
                 if let Some(slot) = st.map.remove(&key) {
                     if let Some(tape) = slot.get() {
                         st.bytes = st.bytes.saturating_sub(tape.bytes());
+                        st.instructions = st.instructions.saturating_sub(tape.len() as u64);
                         self.evictions.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -228,11 +246,13 @@ impl TapeCache {
 
     /// Current hit/record/eviction counters and resident footprint.
     pub fn stats(&self) -> TapeStats {
+        let st = self.state.lock().expect("tape cache lock poisoned");
         TapeStats {
             hits: self.hits.load(Ordering::Relaxed),
             records: self.records.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            resident_bytes: self.state.lock().expect("tape cache lock poisoned").bytes,
+            resident_bytes: st.bytes,
+            resident_instructions: st.instructions,
         }
     }
 
@@ -279,6 +299,7 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.records, s.evictions), (1, 2, 0));
         assert_eq!(s.resident_bytes, a.bytes() + d.bytes());
+        assert_eq!(s.resident_instructions, (a.len() + d.len()) as u64);
         assert_eq!(cache.len(), 2);
     }
 
@@ -327,6 +348,7 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.resident_bytes, t2.bytes());
+        assert_eq!(s.resident_instructions, t2.len() as u64);
         assert_eq!(cache.len(), 1);
         // The evicted pair re-records on its next request.
         let again = cache.get_or_record(&c1);

@@ -10,7 +10,7 @@ use nbl_sim::store::{
 };
 use nbl_sim::{HwConfig, SimConfig, SweepEngine};
 use nbl_trace::ir::Program;
-use nbl_trace::tape::io::TapeCodecError;
+use nbl_trace::tape::io::{TapeCodecError, TAPE_FORMAT_VERSION};
 use nbl_trace::tape::TraceTape;
 use nbl_trace::workloads::{build, Scale};
 use std::path::PathBuf;
@@ -166,6 +166,49 @@ fn corrupted_tape_is_quarantined_and_transparently_re_recorded() {
         "the damaged file is kept aside as evidence"
     );
     assert!(victim.exists(), "the content address is repopulated");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A tape artifact from a format-1 build (address per entry, barrier
+/// flag in bit 31) must never reach a replay: its header fails as
+/// `UnsupportedVersion(1)`, the file is quarantined, and the pair is
+/// re-recorded in the current format with unperturbed results.
+#[test]
+fn v1_tape_artifact_is_rejected_and_re_recorded() {
+    let dir = temp_store("v1-tape");
+    let programs = grid_programs();
+
+    let a = disk_engine(&dir, false);
+    let baseline = run_grid(&a, &programs);
+
+    // Stamp format version 1 into one artifact's header (the `u32` after
+    // the magic).
+    let tapes = artifacts_with_extension(&dir, "nbt");
+    assert_eq!(tapes.len(), PAIRS as usize);
+    let victim = &tapes[0];
+    let mut bytes = std::fs::read(victim).unwrap();
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(
+        TraceTape::from_bytes(&bytes),
+        Err(TapeCodecError::UnsupportedVersion(1))
+    );
+    std::fs::write(victim, &bytes).unwrap();
+
+    let b = disk_engine(&dir, false);
+    let again = run_grid(&b, &programs);
+    assert_eq!(
+        again, baseline,
+        "a rejected v1 tape must not perturb results"
+    );
+    let sb = b.store().disk_stats();
+    assert_eq!(sb.corruptions, 1);
+    assert_eq!(sb.tape_hits, PAIRS - 1);
+    assert_eq!(sb.tape_writes, 1, "the v1 pair is re-recorded");
+    assert_eq!(b.tapes().stats().records, 1);
+    let fresh = std::fs::read(victim).unwrap();
+    assert_eq!(fresh[4..8], TAPE_FORMAT_VERSION.to_le_bytes());
+    assert!(TraceTape::from_bytes(&fresh).is_ok());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

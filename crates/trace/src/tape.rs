@@ -11,35 +11,44 @@
 //! per chase pattern) and a [`DynInst`] construction per instruction.
 //!
 //! A [`TraceTape`] flattens that stream once into a struct-of-arrays
-//! encoding that replays with nothing but sequential array reads:
+//! encoding that replays with nothing but sequential array reads, and
+//! stores only what replay reads:
 //!
-//! | array     | type       | bytes/inst | contents                        |
-//! |-----------|------------|------------|---------------------------------|
-//! | `kinds`   | `TapeKind` | 1          | Alu / Branch / Load / Store     |
-//! | `dsts`    | `u8`       | 1          | dense register index, `0xff` = none |
-//! | `srcs`    | `[u8; 2]`  | 2          | dense register indices, `0xff` = none |
-//! | `addrs`   | `u64`      | 8          | effective address (mem ops only) |
-//! | `formats` | `u8`       | 1          | packed [`LoadFormat`] (loads only) |
+//! | array      | type       | bytes            | contents                         |
+//! |------------|------------|------------------|----------------------------------|
+//! | `ops`      | `u8`       | 1 / inst         | [`TapeKind`] in bits 0–1, packed [`LoadFormat`] in bits 2–4 (loads only) |
+//! | `dsts`     | `u8`       | 1 / inst         | dense register index, `0xff` = none |
+//! | `srcs`     | `[u8; 2]`  | 2 / inst         | dense register indices, `0xff` = none |
+//! | `addrs`    | `u64`      | 8 / memory op    | effective address, memory operations only, in program order |
+//! | `mem_bits` | `u64`      | 8 / 64 inst      | is-memory bit plane over entries |
+//! | `mem_rank` | `u32`      | 4 / 64 inst      | memory operations before each 64-entry word |
+//! | `barriers` | `u32`      | 4 / barrier      | instruction index of each barrier |
+//! | `mem_flags`| `u64`      | 8 / 64 barriers  | is-memory bit plane over barrier slots |
 //!
-//! plus a side index of **barrier** entries (`u32` each): the memory
-//! operations and the entries that read or rewrite a register whose most
-//! recent writer is a load. Only a barrier can stall or touch the memory
-//! system — a register is pending only while an outstanding load owns it,
-//! so an entry whose registers were all last written by non-loads can
-//! never wait ([`TraceTape::barriers`]). Replay exploits this by issuing
-//! everything between barriers in bulk.
+//! Only ~26 % of entries on the paper's workload mixes are loads or
+//! stores, so storing an address per *memory operation* instead of per
+//! entry is what keeps the tape small. [`TraceTape::addr`] stays O(1)
+//! through the rank plane (`mem_rank[i / 64]` plus a popcount of the
+//! lower bits of `mem_bits[i / 64]`), but the replay loops never need
+//! it: they visit every memory operation in program order, so they read
+//! [`TraceTape::mem_addrs`] through a running cursor instead.
 //!
-//! A packed flag plane (one `u64` word per 64 barriers, bit set = memory
-//! operation) shadows the barrier index so the replay loop's quiescent
-//! scan ([`TraceTape::next_mem_barrier`]) strides over non-memory spans
-//! 64 barriers at a time instead of probing bit 31 entry by entry.
+//! The **barrier** index lists the memory operations and the entries
+//! that read or rewrite a register whose most recent writer is a load.
+//! Only a barrier can stall or touch the memory system — a register is
+//! pending only while an outstanding load owns it, so an entry whose
+//! registers were all last written by non-loads can never wait
+//! ([`TraceTape::barriers`]). Replay exploits this by issuing everything
+//! between barriers in bulk. The `mem_flags` plane marks which barrier
+//! slots are memory operations, so the replay loop's quiescent scan
+//! ([`TraceTape::next_mem_barrier`]) strides over non-memory spans 64
+//! barriers at a time.
 //!
-//! 13 bytes per dynamic instruction plus 4 per barrier (~40 % of entries
-//! on the paper's workload mixes) plus 8 per 64-barrier flag word, laid
-//! out so a replay touches each array linearly: ~0.6 MiB for a
-//! quick-scale (~40 k instruction) run and ~6 MiB for a full-scale
-//! (~400 k) one — see [`TraceTape::bytes`] and DESIGN.md §12 for the
-//! footprint bounds.
+//! That is 4 bytes per dynamic instruction, plus 8 per memory operation,
+//! plus 12 per 64 instructions, plus 4 per barrier (~40 % of entries),
+//! plus 8 per 64 barriers: ~8.2 B/inst on the full-scale roster, ~3 MiB
+//! for a full-scale (~400 k instruction) run — see [`TraceTape::bytes`]
+//! and DESIGN.md §12 for the footprint bounds.
 //!
 //! The tape is itself an [`InstSink`], so recording is just running the
 //! executor once into it ([`TraceTape::record`]); `nbl-sim` caches the
@@ -58,26 +67,18 @@ pub mod io;
 /// Dense register encoding for "no register".
 const REG_NONE: u8 = u8::MAX;
 
-/// Bit 31 of a barrier entry: set when the barrier is a memory operation
-/// (see [`TraceTape::barriers`]). Instruction indices stay well below
-/// 2³¹, so the top bit is free for the flag the replay loop's quiescent
-/// scan needs on every entry — reading it from the packed entry avoids a
-/// random-stride lookup into the `kinds` array.
-pub const BARRIER_MEM: u32 = 1 << 31;
+/// Bits 0–1 of an `ops` byte: the [`TapeKind`].
+const OP_KIND_MASK: u8 = 0b11;
 
-/// Instruction index of a packed barrier entry.
-#[inline]
-#[must_use]
-pub fn barrier_index(entry: u32) -> usize {
-    (entry & !BARRIER_MEM) as usize
-}
+/// Bit 1 of an `ops` byte: set for [`TapeKind::Load`] and
+/// [`TapeKind::Store`].
+const OP_MEM_BIT: u8 = 0b10;
 
-/// `true` if a packed barrier entry is a memory operation.
-#[inline]
-#[must_use]
-pub fn barrier_is_mem(entry: u32) -> bool {
-    entry & BARRIER_MEM != 0
-}
+/// Position of the packed [`LoadFormat`] (bits 2–4) in an `ops` byte.
+const OP_FORMAT_SHIFT: u32 = 2;
+
+/// Bits an `ops` byte may set: kind and format, nothing above bit 4.
+const OP_VALID_MASK: u8 = 0b1_1111;
 
 /// What one tape entry does. One byte per entry; the split of
 /// [`DynKind::Alu`] into `Alu` (has a destination) and `Branch` (none)
@@ -89,10 +90,24 @@ pub enum TapeKind {
     Alu = 0,
     /// Branch / compare: single-cycle, no destination.
     Branch = 1,
-    /// Load: reads `addrs[i]`, writes `dsts[i]`, format in `formats[i]`.
+    /// Load: reads memory, writes `dsts[i]`, format in bits 2–4 of
+    /// `ops[i]`.
     Load = 2,
-    /// Store: writes memory at `addrs[i]`.
+    /// Store: writes memory.
     Store = 3,
+}
+
+impl TapeKind {
+    /// The kind packed in bits 0–1 of an `ops` byte.
+    #[inline]
+    fn of_op(op: u8) -> TapeKind {
+        match op & OP_KIND_MASK {
+            0 => TapeKind::Alu,
+            1 => TapeKind::Branch,
+            2 => TapeKind::Load,
+            _ => TapeKind::Store,
+        }
+    }
 }
 
 /// One memory operation of a tape, as yielded by [`TraceTape::mem_ops`]:
@@ -161,17 +176,28 @@ pub struct TraceTape {
     name: String,
     load_latency: u32,
     static_spill_ops: usize,
-    kinds: Vec<TapeKind>,
+    /// Per entry: [`TapeKind`] in bits 0–1, packed [`LoadFormat`] in bits
+    /// 2–4 (zero for everything but loads).
+    ops: Vec<u8>,
     dsts: Vec<u8>,
     srcs: Vec<[u8; 2]>,
+    /// Effective addresses of the memory operations only, in program
+    /// order: the `r`-th load or store reads `addrs[r]`.
     addrs: Vec<u64>,
-    formats: Vec<u8>,
+    /// Is-memory bit plane over entries: bit `k` of word `w` is set when
+    /// entry `w * 64 + k` is a load or store.
+    mem_bits: Vec<u64>,
+    /// Memory operations recorded before word `w` of `mem_bits` — with a
+    /// popcount of the word's lower bits, the rank of an entry's address
+    /// in `addrs` ([`TraceTape::addr`]).
+    mem_rank: Vec<u32>,
+    /// Instruction indices of the barrier entries, ascending.
     barriers: Vec<u32>,
     /// Packed flag plane over barrier *positions*: bit `k` of word `w` is
-    /// set when `barriers[w * 64 + k]` is a memory operation. Redundant
-    /// with bit 31 of each barrier entry, but laid out so the replay
-    /// loop's quiescent scan ([`TraceTape::next_mem_barrier`]) advances
-    /// in 64-barrier strides instead of probing entries one at a time.
+    /// set when `barriers[w * 64 + k]` is a memory operation, laid out so
+    /// the replay loop's quiescent scan ([`TraceTape::next_mem_barrier`])
+    /// advances in 64-barrier strides instead of probing entries one at a
+    /// time.
     mem_flags: Vec<u64>,
     /// Bitmap of registers whose most recent writer (so far) is a load —
     /// recording state for the barrier computation in [`TraceTape::push`].
@@ -181,22 +207,37 @@ pub struct TraceTape {
 }
 
 impl TraceTape {
-    /// An empty tape with the given identity and reserved capacity.
+    /// An empty tape with the given identity and capacity reserved for
+    /// `capacity` entries (the memory-operation addresses grow on demand).
     pub fn with_capacity(
         name: &str,
         load_latency: u32,
         static_spill_ops: usize,
         capacity: usize,
     ) -> TraceTape {
+        TraceTape::reserved(name, load_latency, static_spill_ops, capacity, 0)
+    }
+
+    /// An empty tape reserving `entries` instructions, of which `mem_ops`
+    /// are loads or stores.
+    fn reserved(
+        name: &str,
+        load_latency: u32,
+        static_spill_ops: usize,
+        entries: usize,
+        mem_ops: usize,
+    ) -> TraceTape {
+        let words = entries.div_ceil(64);
         TraceTape {
             name: name.to_string(),
             load_latency,
             static_spill_ops,
-            kinds: Vec::with_capacity(capacity),
-            dsts: Vec::with_capacity(capacity),
-            srcs: Vec::with_capacity(capacity),
-            addrs: Vec::with_capacity(capacity),
-            formats: Vec::with_capacity(capacity),
+            ops: Vec::with_capacity(entries),
+            dsts: Vec::with_capacity(entries),
+            srcs: Vec::with_capacity(entries),
+            addrs: Vec::with_capacity(mem_ops),
+            mem_bits: Vec::with_capacity(words),
+            mem_rank: Vec::with_capacity(words),
             barriers: Vec::new(),
             mem_flags: Vec::new(),
             load_written: 0,
@@ -208,13 +249,23 @@ impl TraceTape {
     /// Records `compiled` by running the executor once into a fresh tape.
     /// The stream is bit-identical to what any processor-backed sink would
     /// have received — the tape just stores it instead of timing it.
+    ///
+    /// Every array but the barrier index and its flag plane is reserved
+    /// exactly from [`CompiledProgram::dynamic_instructions`] and
+    /// [`CompiledProgram::dynamic_mix`], and those two are shrunk when
+    /// done, so [`TraceTape::bytes`] is the exact footprint. Programs from
+    /// `nbl_sched::compile` hold at most `u32::MAX` instructions, the
+    /// width of a barrier entry.
     pub fn record(compiled: &CompiledProgram) -> TraceTape {
-        let capacity = usize::try_from(compiled.dynamic_instructions()).unwrap_or(0);
-        let mut tape = TraceTape::with_capacity(
+        let entries = usize::try_from(compiled.dynamic_instructions()).unwrap_or(0);
+        let (loads, stores, _) = compiled.dynamic_mix();
+        let mem_ops = usize::try_from(loads + stores).unwrap_or(0);
+        let mut tape = TraceTape::reserved(
             &compiled.name,
             compiled.load_latency,
             compiled.blocks.iter().map(|b| b.spill_ops).sum(),
-            capacity,
+            entries,
+            mem_ops,
         );
         Executor::new(compiled).run(&mut tape);
         debug_assert_eq!(tape.len() as u64, compiled.dynamic_instructions());
@@ -232,22 +283,35 @@ impl TraceTape {
     /// issues. The "most recent writer is a load" bitmap is then updated
     /// for the entry's own destination: a load sets its bit, an ALU write
     /// clears it, branches and stores write no register.
+    ///
+    /// A tape holds at most `u32::MAX` entries: barrier entries and the
+    /// rank plane are `u32`.
     pub fn push(&mut self, inst: DynInst) {
         let (kind, dst, addr, format) = match inst.kind {
             DynKind::Load { addr, dst, format } => {
                 self.loads += 1;
-                (TapeKind::Load, Some(dst), addr.0, pack_format(format))
+                (TapeKind::Load, Some(dst), Some(addr.0), pack_format(format))
             }
             DynKind::Store { addr } => {
                 self.stores += 1;
-                (TapeKind::Store, None, addr.0, 0)
+                (TapeKind::Store, None, Some(addr.0), 0)
             }
-            DynKind::Alu { dst: Some(dst) } => (TapeKind::Alu, Some(dst), 0, 0),
-            DynKind::Alu { dst: None } => (TapeKind::Branch, None, 0, 0),
+            DynKind::Alu { dst: Some(dst) } => (TapeKind::Alu, Some(dst), None, 0),
+            DynKind::Alu { dst: None } => (TapeKind::Branch, None, None, 0),
         };
+        let i = self.ops.len();
+        debug_assert!(u32::try_from(i).is_ok(), "tape entry index exceeds u32");
+        if i.is_multiple_of(64) {
+            self.mem_bits.push(0);
+            self.mem_rank.push(self.addrs.len() as u32);
+        }
         let d = pack_reg(dst);
         let [s0, s1] = [pack_reg(inst.srcs[0]), pack_reg(inst.srcs[1])];
-        let is_mem = matches!(kind, TapeKind::Load | TapeKind::Store);
+        let is_mem = addr.is_some();
+        if let Some(a) = addr {
+            self.mem_bits[i / 64] |= 1u64 << (i % 64);
+            self.addrs.push(a);
+        }
         if is_mem || (reg_bit(d) | reg_bit(s0) | reg_bit(s1)) & self.load_written != 0 {
             let slot = self.barriers.len();
             if slot.is_multiple_of(64) {
@@ -256,19 +320,16 @@ impl TraceTape {
             if is_mem {
                 self.mem_flags[slot / 64] |= 1u64 << (slot % 64);
             }
-            let flag = if is_mem { BARRIER_MEM } else { 0 };
-            self.barriers.push(self.kinds.len() as u32 | flag);
+            self.barriers.push(i as u32);
         }
         match kind {
             TapeKind::Load => self.load_written |= reg_bit(d),
             TapeKind::Alu => self.load_written &= !reg_bit(d),
             TapeKind::Branch | TapeKind::Store => {}
         }
-        self.kinds.push(kind);
+        self.ops.push(kind as u8 | format << OP_FORMAT_SHIFT);
         self.dsts.push(d);
         self.srcs.push([s0, s1]);
-        self.addrs.push(addr);
-        self.formats.push(format);
     }
 
     /// Benchmark name the tape was recorded from.
@@ -290,12 +351,12 @@ impl TraceTape {
 
     /// Number of recorded instructions.
     pub fn len(&self) -> usize {
-        self.kinds.len()
+        self.ops.len()
     }
 
     /// `true` if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
+        self.ops.is_empty()
     }
 
     /// Loads recorded.
@@ -308,17 +369,18 @@ impl TraceTape {
         self.stores
     }
 
-    /// Heap footprint of the instruction arrays, in bytes (13 per entry
-    /// plus 4 per barrier plus 8 per 64-barrier flag word; the instruction
-    /// `Vec`s reserve exact capacity at record time via
-    /// [`CompiledProgram::dynamic_instructions`], and [`TraceTape::record`]
-    /// shrinks the barrier index and flag plane when done).
+    /// Heap footprint of the tape's arrays, in bytes: 4 per entry, 8 per
+    /// memory operation, 12 per 64-entry word of the is-memory and rank
+    /// planes, 4 per barrier and 8 per 64-barrier flag word. Exact for a
+    /// tape from [`TraceTape::record`] or the codec, which reserve (or
+    /// shrink) every array to its length.
     pub fn bytes(&self) -> usize {
-        self.kinds.capacity()
+        self.ops.capacity()
             + self.dsts.capacity()
             + self.srcs.capacity() * 2
             + self.addrs.capacity() * 8
-            + self.formats.capacity()
+            + self.mem_bits.capacity() * 8
+            + self.mem_rank.capacity() * 4
             + self.barriers.capacity() * 4
             + self.mem_flags.capacity() * 8
     }
@@ -326,13 +388,29 @@ impl TraceTape {
     /// Kind of entry `i`.
     #[inline]
     pub fn kind(&self, i: usize) -> TapeKind {
-        self.kinds[i]
+        TapeKind::of_op(self.ops[i])
     }
 
-    /// Effective address of entry `i` (meaningful for memory operations).
+    /// Effective address of entry `i` for a memory operation, `Addr(0)`
+    /// otherwise. O(1) through the rank plane; loops that visit every
+    /// memory operation in order read [`TraceTape::mem_addrs`] instead.
     #[inline]
     pub fn addr(&self, i: usize) -> Addr {
-        Addr(self.addrs[i])
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        let bits = self.mem_bits[word];
+        if bits & bit == 0 {
+            return Addr(0);
+        }
+        let rank = self.mem_rank[word] as usize + (bits & (bit - 1)).count_ones() as usize;
+        Addr(self.addrs[rank])
+    }
+
+    /// The effective addresses of the memory operations, in program order:
+    /// the `r`-th load or store of the tape accesses `mem_addrs()[r]`. The
+    /// replay loops keep a running cursor into this slice.
+    #[inline]
+    pub fn mem_addrs(&self) -> &[u64] {
+        &self.addrs
     }
 
     /// Destination register of entry `i`, if it writes one.
@@ -351,13 +429,13 @@ impl TraceTape {
     /// Load format of entry `i` (meaningful for loads).
     #[inline]
     pub fn format(&self, i: usize) -> LoadFormat {
-        unpack_format(self.formats[i])
+        unpack_format(self.ops[i] >> OP_FORMAT_SHIFT)
     }
 
     /// `true` if entry `i` is a memory operation.
     #[inline]
     pub fn is_mem(&self, i: usize) -> bool {
-        matches!(self.kinds[i], TapeKind::Load | TapeKind::Store)
+        self.ops[i] & OP_MEM_BIT != 0
     }
 
     /// Walks the tape's memory operations in program order: one
@@ -368,25 +446,19 @@ impl TraceTape {
     /// *n*-th item here lines up with the *n*-th recorded outcome.
     #[inline]
     pub fn mem_ops(&self) -> impl Iterator<Item = MemOp> + '_ {
-        self.kinds
+        self.ops
             .iter()
             .enumerate()
-            .filter_map(move |(i, &k)| match k {
-                TapeKind::Load => Some(MemOp {
-                    index: i,
-                    is_store: false,
-                    addr: Addr(self.addrs[i]),
-                }),
-                TapeKind::Store => Some(MemOp {
-                    index: i,
-                    is_store: true,
-                    addr: Addr(self.addrs[i]),
-                }),
-                TapeKind::Alu | TapeKind::Branch => None,
+            .filter(|&(_, &op)| op & OP_MEM_BIT != 0)
+            .zip(&self.addrs)
+            .map(|((index, &op), &addr)| MemOp {
+                index,
+                is_store: TapeKind::of_op(op) == TapeKind::Store,
+                addr: Addr(addr),
             })
     }
 
-    /// The barrier entries, in ascending instruction order: the memory
+    /// The barrier entries' instruction indices, ascending: the memory
     /// operations plus every entry that reads or rewrites a register
     /// whose most recent writer is a load. A register is pending only
     /// while the load that last wrote it is outstanding, so entries *not*
@@ -394,15 +466,19 @@ impl TraceTape {
     /// the replay loop issues the gaps between barriers in bulk (one
     /// instruction, one cycle each) and runs the full
     /// drain/hazard/execute machinery only at the barriers themselves.
-    ///
-    /// Each entry packs the instruction index in its low 31 bits
-    /// ([`barrier_index`]) and the memory-operation flag in bit 31
-    /// ([`barrier_is_mem`], [`BARRIER_MEM`]), so the replay loop's
-    /// quiescent scan classifies a barrier without touching the `kinds`
-    /// array.
+    /// [`TraceTape::is_mem_barrier`] classifies a slot without touching
+    /// the `ops` array.
     #[inline]
     pub fn barriers(&self) -> &[u32] {
         &self.barriers
+    }
+
+    /// `true` if barrier slot `slot` (an index into
+    /// [`TraceTape::barriers`]) is a memory operation, read from the
+    /// packed flag plane.
+    #[inline]
+    pub fn is_mem_barrier(&self, slot: usize) -> bool {
+        self.mem_flags[slot / 64] >> (slot % 64) & 1 != 0
     }
 
     /// Index (into [`TraceTape::barriers`]) of the first barrier at or
@@ -410,12 +486,12 @@ impl TraceTape {
     /// none remains.
     ///
     /// This is the vectorized form of the scalar scan
-    /// `while from < n && !barrier_is_mem(barriers[from]) { from += 1 }`:
-    /// it reads the packed flag plane in `u64` words, so a span of
-    /// non-memory barriers is skipped 64 entries per iteration instead of
-    /// one. The replay loop leans on this whenever the engine is
-    /// quiescent — every barrier until the next memory operation then
-    /// bulk-issues, and the scan is the only per-entry work left.
+    /// `while from < n && !is_mem_barrier(from) { from += 1 }`: it reads
+    /// the packed flag plane in `u64` words, so a span of non-memory
+    /// barriers is skipped 64 entries per iteration instead of one. The
+    /// replay loop leans on this whenever the engine is quiescent — every
+    /// barrier until the next memory operation then bulk-issues, and the
+    /// scan is the only per-entry work left.
     #[inline]
     #[must_use]
     pub fn next_mem_barrier(&self, from: usize) -> usize {
@@ -453,7 +529,7 @@ impl TraceTape {
     /// Reconstructs entry `i` as a [`DynInst`].
     pub fn get(&self, i: usize) -> DynInst {
         let srcs = self.srcs(i);
-        let kind = match self.kinds[i] {
+        let kind = match self.kind(i) {
             TapeKind::Alu => DynKind::Alu { dst: self.dst(i) },
             TapeKind::Branch => DynKind::Alu { dst: None },
             TapeKind::Load => DynKind::Load {
@@ -492,9 +568,16 @@ mod scan_prop {
     use super::*;
     use nbl_core::rng::SplitMix64;
 
+    /// Scalar reference: classifies each barrier by its entry's kind, not
+    /// by the flag plane under test.
     fn scalar_next_mem_barrier(tape: &TraceTape, mut from: usize) -> usize {
         let barriers = tape.barriers();
-        while from < barriers.len() && !barrier_is_mem(barriers[from]) {
+        while from < barriers.len()
+            && !matches!(
+                tape.kind(barriers[from] as usize),
+                TapeKind::Load | TapeKind::Store
+            )
+        {
             from += 1;
         }
         from
@@ -697,22 +780,129 @@ mod tests {
         assert_eq!(tape.static_spill_ops(), 3);
     }
 
+    /// The footprint arithmetic of the module docs, pinned exactly: 4 B
+    /// per entry, 8 per memory operation, 12 per 64-entry word, 4 per
+    /// barrier, 8 per 64-barrier flag word.
     #[test]
-    fn footprint_is_thirteen_bytes_per_instruction_plus_barriers() {
-        let tape = TraceTape::record(&exercise_program());
-        let flag_words = tape.barriers().len().div_ceil(64);
+    fn footprint_stores_addresses_for_memory_operations_only() {
+        let c = exercise_program();
+        let tape = TraceTape::record(&c);
+        let (n, nb) = (tape.len(), tape.barriers().len());
+        let (loads, stores, _) = c.dynamic_mix();
+        let mem = (loads + stores) as usize;
+        assert_eq!(tape.mem_addrs().len(), mem);
+        assert!(mem < n, "the exercise program has non-memory entries");
         assert_eq!(
             tape.bytes(),
-            tape.len() * 13 + tape.barriers().len() * 4 + flag_words * 8
+            n * 4 + mem * 8 + n.div_ceil(64) * 12 + nb * 4 + nb.div_ceil(64) * 8
         );
         assert!(!tape.is_empty());
     }
 
-    /// Scalar reference for [`TraceTape::next_mem_barrier`]: the per-entry
-    /// bit-31 probe the chunked scan replaced.
+    /// Memory operations at both edges of the first 64-entry words
+    /// (entries 0, 63, 64, 127, 128), one all-memory word, one all-ALU
+    /// word and a partial tail: the rank plane must hand every entry its
+    /// own address, checked against the executor's own stream.
+    #[test]
+    fn word_boundary_layouts_match_the_executor_stream() {
+        let block = |op| MachineBlock {
+            ops: vec![op],
+            spill_ops: 0,
+        };
+        let run = |b: u32, times: u64| ScriptNode::Run {
+            block: BlockId(b),
+            times,
+        };
+        let c = CompiledProgram {
+            name: "words".into(),
+            load_latency: 1,
+            patterns: vec![
+                AddrPattern::Strided {
+                    base: 0x1000,
+                    elem_bytes: 8,
+                    stride: 1,
+                    length: 100,
+                },
+                AddrPattern::Strided {
+                    base: 0x8000,
+                    elem_bytes: 8,
+                    stride: 3,
+                    length: 37,
+                },
+            ],
+            blocks: vec![
+                block(MachineOp::Load {
+                    dst: PhysReg::int(1),
+                    pattern: PatternId(0),
+                    format: LoadFormat::DOUBLE,
+                    addr_src: None,
+                }),
+                block(MachineOp::Store {
+                    pattern: PatternId(1),
+                    data: Some(PhysReg::int(1)),
+                    addr_src: None,
+                }),
+                block(MachineOp::Alu {
+                    dst: PhysReg::int(2),
+                    srcs: [Some(PhysReg::int(3)), None],
+                }),
+            ],
+            script: vec![
+                run(0, 1),  // 0: load
+                run(2, 62), // 1..=62
+                run(1, 1),  // 63: store
+                run(0, 1),  // 64: load
+                run(2, 62), // 65..=126
+                run(0, 1),  // 127: load
+                run(1, 1),  // 128: store
+                run(2, 63), // 129..=191
+                run(0, 32), // 192..=255: an all-memory word
+                run(1, 32),
+                run(2, 64), // 256..=319: an all-ALU word
+                run(0, 3),  // 320..=322: a partial tail word
+            ],
+        };
+        let mut stream: Vec<DynInst> = Vec::new();
+        Executor::new(&c).run(&mut stream);
+        let tape = TraceTape::record(&c);
+        assert_eq!(tape.len(), 323);
+        assert_eq!(tape.len(), stream.len());
+        let mut expected = Vec::new();
+        for (i, inst) in stream.iter().enumerate() {
+            assert_eq!(tape.get(i), *inst, "entry {i}");
+            let addr = match inst.kind {
+                DynKind::Load { addr, .. } => Some((addr, false)),
+                DynKind::Store { addr } => Some((addr, true)),
+                DynKind::Alu { .. } => None,
+            };
+            assert_eq!(tape.addr(i), addr.map_or(Addr(0), |(a, _)| a), "entry {i}");
+            if let Some((addr, is_store)) = addr {
+                expected.push(MemOp {
+                    index: i,
+                    is_store,
+                    addr,
+                });
+            }
+        }
+        assert_eq!(tape.mem_ops().collect::<Vec<_>>(), expected);
+        let addrs: Vec<u64> = expected.iter().map(|op| op.addr.0).collect();
+        assert_eq!(tape.mem_addrs(), addrs.as_slice());
+        for i in [0, 63, 64, 127, 128] {
+            assert!(tape.is_mem(i), "entry {i}");
+        }
+        assert!((192..256).all(|i| tape.is_mem(i)));
+        assert!((256..320).all(|i| !tape.is_mem(i)));
+        assert_eq!(
+            tape.bytes(),
+            TraceTape::from_bytes(&tape.to_bytes()).unwrap().bytes()
+        );
+    }
+
+    /// Scalar reference for [`TraceTape::next_mem_barrier`]: a per-slot
+    /// probe of each barrier entry's kind.
     fn scalar_next_mem_barrier(tape: &TraceTape, mut from: usize) -> usize {
         let barriers = tape.barriers();
-        while from < barriers.len() && !barrier_is_mem(barriers[from]) {
+        while from < barriers.len() && !tape.is_mem(barriers[from] as usize) {
             from += 1;
         }
         from
@@ -747,7 +937,7 @@ mod tests {
                 .flatten()
                 .any(|r| loadw & (1u64 << r.dense_index()) != 0);
             if inst.is_mem() || touches_loadw {
-                expected.push(i as u32 | if inst.is_mem() { BARRIER_MEM } else { 0 });
+                expected.push(i as u32);
             }
             if let Some(d) = inst.dst() {
                 match inst.kind {
@@ -759,11 +949,9 @@ mod tests {
         }
         assert_eq!(tape.barriers(), expected.as_slice());
         // Every memory operation must be a barrier, flagged as one.
-        let mem_barriers: Vec<usize> = tape
-            .barriers()
-            .iter()
-            .filter(|&&e| barrier_is_mem(e))
-            .map(|&e| barrier_index(e))
+        let mem_barriers: Vec<usize> = (0..tape.barriers().len())
+            .filter(|&slot| tape.is_mem_barrier(slot))
+            .map(|slot| tape.barriers()[slot] as usize)
             .collect();
         let mem_entries: Vec<usize> = (0..tape.len()).filter(|&i| tape.is_mem(i)).collect();
         assert_eq!(mem_barriers, mem_entries);
@@ -782,7 +970,8 @@ mod tests {
         tape.push(DynInst::alu(r1, [None, None]));
         // r1 now ALU-owned again: reading it is no barrier.
         tape.push(DynInst::alu(r3, [Some(r1), None]));
-        assert_eq!(tape.barriers(), &[2 | BARRIER_MEM, 3, 4]);
+        assert_eq!(tape.barriers(), &[2, 3, 4]);
+        assert!(tape.is_mem_barrier(0) && !tape.is_mem_barrier(1) && !tape.is_mem_barrier(2));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! the byte format the artifact store persists under `results/store/`
 //! (DESIGN.md §16).
 //!
-//! The encoding mirrors the in-memory struct-of-arrays layout so a tape
-//! loads with **one contiguous read** and no per-entry decoding:
+//! The encoding mirrors the in-memory struct-of-arrays layout, so each
+//! stream decodes as one bulk conversion of a contiguous slice:
 //!
 //! ```text
 //! magic "NBLT" | format_version u32
@@ -12,10 +12,13 @@
 //!         | loads u64 | stores u64 | load_written u64
 //! name bytes (UTF-8, name_len)
 //! flag plane: mem_flags  (flag_words × 8 B)
-//! streams:   kinds (len) | dsts (len) | srcs (2·len)
-//!            | addrs (8·len) | formats (len) | barriers (4·barriers)
+//! streams:   ops (len) | dsts (len) | srcs (2·len)
+//!            | addrs (8·(loads + stores)) | barriers (4·barriers)
 //! checksum u64 over every preceding byte
 //! ```
+//!
+//! The per-entry is-memory and rank planes are not stored: decoding
+//! rebuilds them in the same pass that validates the `ops` bytes.
 //!
 //! All integers are little-endian; multi-byte streams serialize value by
 //! value, so the bytes are identical across host endianness. The
@@ -24,16 +27,17 @@
 //! the store's content fingerprints — so truncation and bit flips are
 //! detected before a corrupt tape can reach a replay. Decoding
 //! additionally re-validates the structural invariants replay relies on
-//! (barrier indices in range, flag plane sized and populated
-//! consistently with the barrier index), because a checksum only
-//! protects against *accidental* damage after a correct encode.
+//! (`ops` bytes well formed and agreeing with the load/store counts,
+//! barrier indices ascending and in range, every memory operation a
+//! barrier flagged as one), because a checksum only protects against
+//! *accidental* damage after a correct encode.
 //!
 //! Every failure is a typed [`TapeCodecError`](crate::tape::io::TapeCodecError);
 //! the store maps any of
 //! them to "quarantine the file and re-record" (never a panic, never a
 //! wrong replay).
 
-use super::{TapeKind, TraceTape};
+use super::{TapeKind, TraceTape, OP_FORMAT_SHIFT, OP_MEM_BIT, OP_VALID_MASK};
 use nbl_core::fingerprint::checksum_bytes;
 use std::fmt;
 
@@ -45,7 +49,7 @@ pub const TAPE_MAGIC: [u8; 4] = *b"NBLT";
 /// [`nbl_core::fingerprint::FINGERPRINT_VERSION`]); the store embeds the
 /// version in artifact filenames, so old files are ignored rather than
 /// misparsed.
-pub const TAPE_FORMAT_VERSION: u32 = 1;
+pub const TAPE_FORMAT_VERSION: u32 = 2;
 
 /// Why a serialized tape failed to decode. The artifact store treats
 /// every variant the same way — quarantine and re-record — but the
@@ -65,11 +69,13 @@ pub enum TapeCodecError {
     /// The trailing checksum does not match the payload (bit rot, torn
     /// write, or any in-place mutation).
     ChecksumMismatch,
-    /// A kind byte is outside the [`TapeKind`] encoding.
+    /// An `ops` byte is outside the encoding: bits above the
+    /// [`TapeKind`] and load format set, or a format on a non-load.
     BadKind(u8),
-    /// Header fields are mutually inconsistent (flag plane sized or
-    /// populated out of step with the barrier index, barrier entry out
-    /// of range, non-UTF-8 name) — the invariants replay relies on.
+    /// Header fields are mutually inconsistent (load/store counts out of
+    /// step with the `ops` stream, flag plane sized or populated out of
+    /// step with the barrier index, barrier entries out of order or range,
+    /// non-UTF-8 name) — the invariants replay relies on.
     HeaderMismatch,
 }
 
@@ -86,7 +92,7 @@ impl fmt::Display for TapeCodecError {
             TapeCodecError::Truncated => write!(f, "tape artifact truncated"),
             TapeCodecError::TrailingBytes => write!(f, "tape artifact has trailing bytes"),
             TapeCodecError::ChecksumMismatch => write!(f, "tape artifact checksum mismatch"),
-            TapeCodecError::BadKind(b) => write!(f, "tape artifact has invalid kind byte {b}"),
+            TapeCodecError::BadKind(b) => write!(f, "tape artifact has invalid op byte {b}"),
             TapeCodecError::HeaderMismatch => {
                 write!(f, "tape artifact header is internally inconsistent")
             }
@@ -99,19 +105,47 @@ impl std::error::Error for TapeCodecError {}
 /// Fixed bytes before the name: magic + version + 2 `u32` + 7 `u64`.
 const FIXED_HEADER_BYTES: usize = 4 + 4 + 4 + 4 + 7 * 8;
 
-/// Bytes of the whole artifact for a tape of `n` entries, `nb` barriers,
-/// `nf` flag words and a `name_len`-byte name (including the checksum).
-fn artifact_len(n: usize, nb: usize, nf: usize, name_len: usize) -> Option<usize> {
-    // 13 B/inst + 4 B/barrier + 8 B/flag word, same arithmetic as
-    // `TraceTape::bytes`, plus header and checksum.
+/// Bytes of the whole artifact for a tape of `n` entries, `nm` memory
+/// operations, `nb` barriers, `nf` flag words and a `name_len`-byte name
+/// (including the checksum).
+fn artifact_len(n: usize, nm: usize, nb: usize, nf: usize, name_len: usize) -> Option<usize> {
+    // 4 B/inst + 8 B/memory op + 4 B/barrier + 8 B/flag word (the
+    // in-memory arrays minus the rebuilt planes), plus header and checksum.
     let streams = n
-        .checked_mul(13)?
+        .checked_mul(4)?
+        .checked_add(nm.checked_mul(8)?)?
         .checked_add(nb.checked_mul(4)?)?
         .checked_add(nf.checked_mul(8)?)?;
     FIXED_HEADER_BYTES
         .checked_add(name_len)?
         .checked_add(streams)?
         .checked_add(8)
+}
+
+/// Little-endian `u64`s of a byte slice whose length is a multiple of 8.
+fn le_u64s(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes.chunks_exact(8).map(|c| {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(c);
+        u64::from_le_bytes(b)
+    })
+}
+
+/// Little-endian `u32`s of a byte slice whose length is a multiple of 4.
+fn le_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes.chunks_exact(4).map(|c| {
+        let mut b = [0u8; 4];
+        b.copy_from_slice(c);
+        u32::from_le_bytes(b)
+    })
+}
+
+/// Collects exactly `len` items into a `Vec` of exactly that capacity, so
+/// a decoded tape's [`TraceTape::bytes`] equals a recorded one's.
+fn exact<T>(len: usize, items: impl Iterator<Item = T>) -> Vec<T> {
+    let mut v = Vec::with_capacity(len);
+    v.extend(items);
+    v
 }
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {
@@ -162,9 +196,10 @@ impl TraceTape {
     /// pure function of the tape's content — no clocks, paths or
     /// process state — so equal tapes always produce equal bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let (n, nb, nf) = (self.kinds.len(), self.barriers.len(), self.mem_flags.len());
+        let (n, nb, nf) = (self.ops.len(), self.barriers.len(), self.mem_flags.len());
         let name = self.name.as_bytes();
-        let cap = artifact_len(n, nb, nf, name.len()).unwrap_or(FIXED_HEADER_BYTES);
+        let cap =
+            artifact_len(n, self.addrs.len(), nb, nf, name.len()).unwrap_or(FIXED_HEADER_BYTES);
         let mut out = Vec::with_capacity(cap);
         out.extend_from_slice(&TAPE_MAGIC);
         push_u32(&mut out, TAPE_FORMAT_VERSION);
@@ -181,18 +216,12 @@ impl TraceTape {
         for &w in &self.mem_flags {
             push_u64(&mut out, w);
         }
-        for &k in &self.kinds {
-            out.push(k as u8);
-        }
+        out.extend_from_slice(&self.ops);
         out.extend_from_slice(&self.dsts);
-        for &[a, b] in &self.srcs {
-            out.push(a);
-            out.push(b);
-        }
+        out.extend_from_slice(self.srcs.as_flattened());
         for &a in &self.addrs {
             push_u64(&mut out, a);
         }
-        out.extend_from_slice(&self.formats);
         for &b in &self.barriers {
             push_u32(&mut out, b);
         }
@@ -233,7 +262,11 @@ impl TraceTape {
 
         // The declared structure must account for the buffer exactly;
         // checking before the checksum distinguishes truncation from rot.
-        match artifact_len(n, nb, nf, name_len) {
+        let nm = loads
+            .checked_add(stores)
+            .and_then(|m| usize::try_from(m).ok())
+            .ok_or(TapeCodecError::Truncated)?;
+        match artifact_len(n, nm, nb, nf, name_len) {
             Some(total) if total == bytes.len() => {}
             Some(total) if total > bytes.len() => return Err(TapeCodecError::Truncated),
             Some(_) => return Err(TapeCodecError::TrailingBytes),
@@ -249,59 +282,63 @@ impl TraceTape {
         if checksum_bytes(body) != stored {
             return Err(TapeCodecError::ChecksumMismatch);
         }
-        if nf != nb.div_ceil(64) {
+        if nf != nb.div_ceil(64) || u32::try_from(n).is_err() {
             return Err(TapeCodecError::HeaderMismatch);
         }
 
         let name = std::str::from_utf8(r.take(name_len)?)
             .map_err(|_| TapeCodecError::HeaderMismatch)?
             .to_string();
-        let mut mem_flags = Vec::with_capacity(nf);
-        for _ in 0..nf {
-            mem_flags.push(r.u64()?);
+        let mem_flags = exact(nf, le_u64s(r.take(nf * 8)?));
+        let ops = r.take(n)?.to_vec();
+
+        // One pass over the ops bytes validates each and rebuilds the
+        // is-memory and rank planes.
+        let words = n.div_ceil(64);
+        let (mut mem_bits, mut mem_rank) = (Vec::with_capacity(words), Vec::with_capacity(words));
+        let (mut seen_loads, mut seen_stores) = (0u64, 0u64);
+        for chunk in ops.chunks(64) {
+            mem_rank.push((seen_loads + seen_stores) as u32);
+            let mut bits = 0u64;
+            for (k, &op) in chunk.iter().enumerate() {
+                let kind = TapeKind::of_op(op);
+                if op & !OP_VALID_MASK != 0
+                    || (kind != TapeKind::Load && op >> OP_FORMAT_SHIFT != 0)
+                {
+                    return Err(TapeCodecError::BadKind(op));
+                }
+                bits |= u64::from(op & OP_MEM_BIT != 0) << k;
+                seen_loads += u64::from(kind == TapeKind::Load);
+                seen_stores += u64::from(kind == TapeKind::Store);
+            }
+            mem_bits.push(bits);
         }
-        let mut kinds = Vec::with_capacity(n);
-        for &b in r.take(n)? {
-            kinds.push(match b {
-                0 => TapeKind::Alu,
-                1 => TapeKind::Branch,
-                2 => TapeKind::Load,
-                3 => TapeKind::Store,
-                other => return Err(TapeCodecError::BadKind(other)),
-            });
-        }
-        let dsts = r.take(n)?.to_vec();
-        let mut srcs = Vec::with_capacity(n);
-        for pair in r
-            .take(n.checked_mul(2).ok_or(TapeCodecError::Truncated)?)?
-            .chunks_exact(2)
-        {
-            let mut s = [0u8; 2];
-            s.copy_from_slice(pair);
-            srcs.push(s);
-        }
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            addrs.push(r.u64()?);
-        }
-        let formats = r.take(n)?.to_vec();
-        let mut barriers = Vec::with_capacity(nb);
-        for _ in 0..nb {
-            barriers.push(r.u32()?);
+        if (seen_loads, seen_stores) != (loads, stores) {
+            return Err(TapeCodecError::HeaderMismatch);
         }
 
-        // Structural invariants behind the replay loop's unchecked
-        // indexing: every barrier names a real entry, and the flag plane
-        // sets bits only at real barrier slots, exactly where the
-        // barrier index is flagged as memory.
+        let dsts = r.take(n)?.to_vec();
+        let srcs = exact(n, r.take(n * 2)?.chunks_exact(2).map(|c| [c[0], c[1]]));
+        let addrs = exact(nm, le_u64s(r.take(nm * 8)?));
+        let barriers = exact(nb, le_u32s(r.take(nb * 4)?));
+
+        // Structural invariants behind the replay loops' running address
+        // cursor: barriers ascend through real entries, the flag plane
+        // marks exactly the memory operations among them (and nothing past
+        // the last slot), and every memory operation is one of them.
+        let mut next = 0usize;
+        let mut mem_barriers = 0usize;
         for (slot, &entry) in barriers.iter().enumerate() {
-            if super::barrier_index(entry) >= n {
+            let i = entry as usize;
+            if i < next || i >= n {
                 return Err(TapeCodecError::HeaderMismatch);
             }
-            let word = mem_flags.get(slot / 64).copied().unwrap_or(0);
-            if (word >> (slot % 64)) & 1 != u64::from(super::barrier_is_mem(entry)) {
+            next = i + 1;
+            let is_mem = ops[i] & OP_MEM_BIT != 0;
+            if (mem_flags[slot / 64] >> (slot % 64)) & 1 != u64::from(is_mem) {
                 return Err(TapeCodecError::HeaderMismatch);
             }
+            mem_barriers += usize::from(is_mem);
         }
         if let Some(last) = mem_flags.last() {
             let used = nb - (nf - 1) * 64;
@@ -309,16 +346,20 @@ impl TraceTape {
                 return Err(TapeCodecError::HeaderMismatch);
             }
         }
+        if mem_barriers != nm {
+            return Err(TapeCodecError::HeaderMismatch);
+        }
 
         Ok(TraceTape {
             name,
             load_latency,
             static_spill_ops,
-            kinds,
+            ops,
             dsts,
             srcs,
             addrs,
-            formats,
+            mem_bits,
+            mem_rank,
             barriers,
             mem_flags,
             load_written,
@@ -443,6 +484,60 @@ mod tests {
             assert!(!e.to_string().is_empty());
         }
     }
+
+    /// Recomputes the trailing checksum, so a test can reach the
+    /// structural validation behind it.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body = bytes.len() - 8;
+        let sum = checksum_bytes(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn structural_damage_behind_a_valid_checksum_is_rejected() {
+        let tape = sample_tape();
+        let bytes = tape.to_bytes();
+        let n = tape.len();
+        let ops = FIXED_HEADER_BYTES + tape.name().len() + tape.mem_flags.len() * 8;
+        let barriers = bytes.len() - 8 - tape.barriers().len() * 4;
+        // sample_tape: entry 0 is a load, entry 1 an ALU op.
+        assert_eq!(tape.kind(0), TapeKind::Load);
+        assert_eq!(tape.kind(1), TapeKind::Alu);
+        let edit = |pos: usize, byte: u8| {
+            let mut b = bytes.clone();
+            b[pos] = byte;
+            TraceTape::from_bytes(&reseal(b))
+        };
+        assert_eq!(edit(ops, 0x80 | 2), Err(TapeCodecError::BadKind(0x82)));
+        assert_eq!(
+            edit(ops + 1, 1 << OP_FORMAT_SHIFT),
+            Err(TapeCodecError::BadKind(4))
+        );
+        // A load turned into a store: counts no longer match the header.
+        assert_eq!(edit(ops, 3), Err(TapeCodecError::HeaderMismatch));
+        // An ALU op turned into a branch is well formed, and still decodes.
+        assert!(edit(ops + 1, 1).is_ok());
+        // A barrier out of range, and one out of order.
+        let mut b = bytes.clone();
+        b[barriers..barriers + 4].copy_from_slice(&(n as u32).to_le_bytes());
+        assert_eq!(
+            TraceTape::from_bytes(&reseal(b)),
+            Err(TapeCodecError::HeaderMismatch)
+        );
+        let mut b = bytes.clone();
+        b.copy_within(barriers + 4..barriers + 8, barriers);
+        assert_eq!(
+            TraceTape::from_bytes(&reseal(b)),
+            Err(TapeCodecError::HeaderMismatch)
+        );
+        // The flag plane disagreeing with a barrier's kind.
+        let flags = ops - tape.mem_flags.len() * 8;
+        assert_eq!(
+            edit(flags, bytes[flags] ^ 1),
+            Err(TapeCodecError::HeaderMismatch)
+        );
+    }
 }
 
 /// Property suite for the codec, gated behind the off-by-default
@@ -496,6 +591,56 @@ mod codec_prop {
                     .unwrap_or_else(|e| panic!("bias {mem_bias} case {case}: {e}"));
                 assert_eq!(back, tape, "bias {mem_bias} case {case}");
                 assert_eq!(bytes, back.to_bytes());
+            }
+        }
+    }
+
+    /// One entry of a word-shaped layout: `shape` picks the 64-entry
+    /// word's mix — all memory, no memory, memory only at the word's first
+    /// and last entries, or random.
+    fn shaped_inst(rng: &mut SplitMix64, shape: u64, k: usize) -> DynInst {
+        let bias = match shape {
+            0 => 1000,
+            1 => 0,
+            2 if k == 0 || k == 63 => 1000,
+            2 => 0,
+            _ => 300,
+        };
+        random_inst(rng, bias)
+    }
+
+    /// Lengths straddling 64-entry word edges and words of every shape:
+    /// each decoded tape must equal the original, and its rank plane must
+    /// hand every entry its own address.
+    #[test]
+    fn word_shaped_tapes_round_trip_with_exact_addresses() {
+        let mut rng = SplitMix64::new(0x64_64);
+        for &len in &[1usize, 63, 64, 65, 127, 128, 129, 191, 192, 193, 320, 449] {
+            for case in 0..12 {
+                let mut tape = TraceTape::with_capacity("words", 2, 0, len);
+                let mut stream = Vec::with_capacity(len);
+                let mut shape = 0;
+                for i in 0..len {
+                    if i % 64 == 0 {
+                        shape = rng.next_below(4);
+                    }
+                    let inst = shaped_inst(&mut rng, shape, i % 64);
+                    stream.push(inst);
+                    tape.push(inst);
+                }
+                let back = TraceTape::from_bytes(&tape.to_bytes())
+                    .unwrap_or_else(|e| panic!("len {len} case {case}: {e}"));
+                assert_eq!(back, tape, "len {len} case {case}");
+                let mut mem = 0;
+                for (i, inst) in stream.iter().enumerate() {
+                    assert_eq!(back.get(i), *inst, "len {len} case {case} entry {i}");
+                    if inst.is_mem() {
+                        assert_eq!(back.addr(i).0, back.mem_addrs()[mem]);
+                        mem += 1;
+                    }
+                }
+                assert_eq!(back.mem_ops().count(), mem);
+                assert_eq!(back.mem_addrs().len(), mem);
             }
         }
     }

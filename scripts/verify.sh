@@ -217,11 +217,17 @@ for e in traj:
     for key in ("git", "threads", "reps", "warm_runs_per_sec", "disk_warm_wall_s",
                 "speedup_disk_warm_vs_cold", "fusion_regressed", "bit_identical",
                 "speedup_fused_vs_unfused_1t", "speedup_fused_vs_unfused_4t",
-                "tape_scan_s", "mem_step_s", "oracle_checked"):
+                "tape_scan_s", "mem_step_s", "oracle_checked",
+                "tape_resident_bytes", "tape_bytes_per_inst"):
         assert key in e, key
     assert e["bit_identical"] is True, e
     assert e["fusion_regressed"] is False, e
     assert e["oracle_checked"] is True, e
+    # Tape layout gate: addresses are stored for memory operations only,
+    # so the resident footprint is ~8.2 B/inst. The layout is
+    # deterministic, so this is a size check, not a speed check.
+    assert e["tape_resident_bytes"] > 0, e
+    assert 0 < e["tape_bytes_per_inst"] <= 9.0, e["tape_bytes_per_inst"]
 # Acceptance floor: a fresh incremental process over the populated store
 # must beat the cold (empty-store) pass by at least 1.5x. Entry 0 is the
 # only run whose cold pass saw an empty store.

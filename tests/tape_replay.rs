@@ -14,7 +14,7 @@ use nonblocking_loads::sim::driver::{
     run_compiled, run_compiled_interpreted, run_dual_compiled, run_dual_compiled_interpreted,
 };
 use nonblocking_loads::trace::machine::CompiledProgram;
-use nonblocking_loads::trace::tape::{barrier_index, barrier_is_mem, TraceTape};
+use nonblocking_loads::trace::tape::TraceTape;
 use nonblocking_loads::trace::workloads::{build, Scale};
 
 /// The Fig. 13 hardware configurations of the 72-row golden grid.
@@ -95,12 +95,12 @@ fn recorded_tapes_are_structurally_sound_for_every_family() {
         assert_eq!(tape.loads(), loads, "{bench}");
         assert_eq!(tape.stores(), stores, "{bench}");
         let mut prev = None;
-        for &entry in tape.barriers() {
-            let i = barrier_index(entry);
+        for (slot, &entry) in tape.barriers().iter().enumerate() {
+            let i = entry as usize;
             assert!(prev < Some(i), "{bench}: barrier indices must ascend");
             prev = Some(i);
             assert_eq!(
-                barrier_is_mem(entry),
+                tape.is_mem_barrier(slot),
                 tape.is_mem(i),
                 "{bench}: barrier {i} mem flag disagrees with its kind"
             );
@@ -109,10 +109,8 @@ fn recorded_tapes_are_structurally_sound_for_every_family() {
         // op always touches the memory system, so replay may never skip
         // one in a bulk free-run).
         let mem_ops = (0..tape.len()).filter(|&i| tape.is_mem(i)).count() as u64;
-        let mem_barriers = tape
-            .barriers()
-            .iter()
-            .filter(|&&e| barrier_is_mem(e))
+        let mem_barriers = (0..tape.barriers().len())
+            .filter(|&slot| tape.is_mem_barrier(slot))
             .count() as u64;
         assert_eq!(mem_ops, loads + stores, "{bench}");
         assert_eq!(mem_barriers, mem_ops, "{bench}");
