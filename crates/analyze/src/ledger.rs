@@ -105,12 +105,6 @@ pub const LEDGER: &[LedgerEntry] = &[
     // point must be consumed by the layer above it (and documented), so
     // renaming or orphaning a rung of the fusion ladder is a finding.
     LedgerEntry {
-        name: "GroupStepMem",
-        decl_file: "crates/mem/src/system.rs",
-        kind: LedgerKind::EntryPoints(&["access_load_group"]),
-        surfaces: &["DESIGN.md"],
-    },
-    LedgerEntry {
         name: "GroupStepCpu",
         decl_file: "crates/cpu/src/core_engine.rs",
         kind: LedgerKind::EntryPoints(&["replay_fused"]),

@@ -12,8 +12,11 @@
 
 use super::{engine, programs_for, ExhibitError, RunScale, LATENCIES};
 use nbl_sim::config::{HwConfig, SimConfig};
-use nbl_sim::driver::{run_dual_cached, run_program_cached};
+use nbl_sim::driver::{run_dual_tape, run_tape, DualRunResult};
+use nbl_trace::ir::Program;
+use nbl_trace::tape::TraceTape;
 use std::io::Write;
+use std::sync::Arc;
 
 /// The four configurations the paper compares.
 pub fn configs() -> Vec<HwConfig> {
@@ -41,6 +44,22 @@ pub fn snap_latency(scaled: f64) -> u32 {
         .expect("non-empty latency set")
 }
 
+/// `program`'s tape at `latency`, compiled and recorded through the
+/// shared engine's store.
+fn tape(program: &Program, latency: u32) -> Result<Arc<TraceTape>, String> {
+    let store = engine().store();
+    let compiled = store
+        .get_or_compile(program, latency)
+        .map_err(|e| e.to_string())?;
+    Ok(store.get_or_record(&compiled))
+}
+
+/// The dual-issue run of `program` under `cfg`.
+fn dual(program: &Program, cfg: &SimConfig) -> Result<DualRunResult, String> {
+    let tape = tape(program, cfg.load_latency)?;
+    run_dual_tape(&program.name, &tape, cfg).map_err(|e| e.to_string())
+}
+
 /// Prints the Fig. 19 comparison.
 pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
     let programs = programs_for(&BENCHMARKS, scale)?;
@@ -50,8 +69,7 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
     // parallel across benchmarks.
     let probes = pool
         .run(programs.len(), |b| {
-            run_dual_cached(&programs[b], &SimConfig::baseline(HwConfig::NoRestrict))
-                .map_err(|e| e.to_string())
+            dual(&programs[b], &SimConfig::baseline(HwConfig::NoRestrict))
         })
         .into_iter()
         .zip(BENCHMARKS)
@@ -68,15 +86,17 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
             let p = &programs[b];
             let ipc = probes[b].ipc;
             let hw = hws[c].clone();
-            let dual =
-                run_dual_cached(p, &SimConfig::baseline(hw.clone())).map_err(|e| e.to_string())?;
+            let dual_mcpi = dual(p, &SimConfig::baseline(hw.clone()))?.mcpi;
             let single_cfg = SimConfig::baseline(hw)
                 .at_latency(snap_latency(10.0 * ipc))
                 .with_penalty((16.0 * ipc).round().max(1.0) as u32);
-            let single = run_program_cached(p, &single_cfg).map_err(|e| e.to_string())?;
+            let single_tape = tape(p, single_cfg.load_latency)?;
+            let single_mcpi = run_tape(&p.name, &single_tape, &single_cfg)
+                .map_err(|e| e.to_string())?
+                .mcpi;
             // The scaled single-issue MCPI is per *scaled* cycle; mapping
             // back to dual-issue cycles divides by the IPC.
-            Ok((dual.mcpi, single.mcpi / ipc))
+            Ok((dual_mcpi, single_mcpi / ipc))
         })
         .into_iter()
         .enumerate()

@@ -16,9 +16,9 @@
 //! * under a blocking cache (or a write-allocate store miss) the whole
 //!   miss penalty is exposed as a *blocking* stall.
 //!
-//! The single-issue [`crate::pipeline::Processor`] and the dual-issue
-//! [`crate::dual::DualIssueProcessor`] are thin issue policies over this
-//! engine.
+//! Every issue discipline of [`crate::issue::IssueEngine`] runs on this
+//! engine; single-issue tape replay is [`Core::replay_fused`] (a group
+//! of one engine is the single-configuration case).
 
 use crate::scoreboard::Scoreboard;
 use crate::stats::{CpuStats, InFlightSampler, ReplayAttribution, StallCause};
@@ -498,90 +498,34 @@ impl Core {
         self.now = self.now.plus(count as u64);
     }
 
-    /// Replays a recorded tape through the barrier loop: bulk-issues the
-    /// hazard-free gaps between barriers ([`TraceTape::barriers`]) and
-    /// runs the drain → hazards → execute → tick sequence only at the
-    /// barriers themselves.
-    ///
-    /// A further fast path applies when the engine is *quiescent* (no
-    /// fetch outstanding — which also means no register is pending, since
-    /// a pending register always awaits a fill): a non-memory barrier
-    /// then cannot stall and cannot observe any state change, so it
-    /// issues in bulk exactly like a gap entry.
-    ///
-    /// Every memory operation is a barrier and every memory barrier is
-    /// visited in order, so addresses come from a running cursor over
-    /// [`TraceTape::mem_addrs`] rather than a per-access rank lookup.
-    ///
-    /// # Errors
-    ///
-    /// The first [`EngineError`] any entry hits.
-    pub fn replay(&mut self, tape: &TraceTape) -> Result<(), EngineError> {
-        let barriers = tape.barriers();
-        let n = tape.len();
-        let mut i = 0; // next instruction index to account for
-        let mut j = 0; // next barrier to process
-        let mut m = 0; // next memory operation (address cursor)
-        while j < barriers.len() {
-            if self.mem.next_event().is_none() {
-                // Quiescent: skip ahead to the next *memory* barrier —
-                // every non-memory barrier until then is hazard-free and
-                // the whole span bulk-issues like a gap. The tape's packed
-                // flag plane lets the scan stride over non-memory spans a
-                // u64 word (64 barriers) at a time.
-                j = tape.next_mem_barrier(j);
-                let next = barriers.get(j).map_or(n, |&b| b as usize);
-                if next > i {
-                    self.issue_free_run(next - i);
-                    i = next;
-                }
-                let Some(&b) = barriers.get(j) else { break };
-                let b = b as usize;
-                // The memory barrier itself: nothing outstanding, so no
-                // drain and no register hazard is possible.
-                self.replay_execute(tape, b, m)?;
-                self.tick();
-                i = b + 1;
-                j += 1;
-                m += 1;
-            } else {
-                let b = barriers[j] as usize;
-                if b > i {
-                    self.issue_free_run(b - i);
-                }
-                self.drain_fills();
-                self.replay_hazards(tape, b)?;
-                self.replay_execute(tape, b, m)?;
-                self.tick();
-                i = b + 1;
-                m += usize::from(tape.is_mem_barrier(j));
-                j += 1;
-            }
-        }
-        if i < n {
-            self.issue_free_run(n - i);
-        }
-        Ok(())
-    }
-
     /// Replays one recorded tape through several engines in lockstep,
     /// walking the barrier index (and decoding each entry's packed bytes)
-    /// once for the whole group instead of once per engine — the fused
-    /// fast path for sweep rows that differ only in hardware
-    /// configuration over a shared tape.
+    /// once for the whole group instead of once per engine. This is the
+    /// single-issue replay loop: a single-configuration run is a group of
+    /// one, a sweep row that differs only in hardware configuration over a
+    /// shared tape is a group of many.
     ///
-    /// Each engine keeps its own instruction cursor and processes exactly
-    /// the barriers the scalar [`Core::replay`] would: a *memory* barrier
-    /// is stepped by every engine; a non-memory barrier only by engines
-    /// with a fetch outstanding. For a quiescent engine a non-memory
-    /// barrier cannot stall or observe any state change, so deferring it
-    /// into the next bulk issue is exactly the scalar loop's quiescent
-    /// fast path — the fused walk is bit-identical to `cores.len()`
-    /// independent replays by construction (pinned by tests and the
+    /// The walk bulk-issues the hazard-free gaps between barriers
+    /// ([`TraceTape::barriers`]) and runs the drain → hazards → execute →
+    /// tick sequence only at the barriers themselves. Each engine keeps its
+    /// own instruction cursor: a *memory* barrier is stepped by every
+    /// engine; a non-memory barrier only by engines with a fetch
+    /// outstanding. A *quiescent* engine (no fetch outstanding — which
+    /// also means no register is pending, since a pending register always
+    /// awaits a fill) cannot stall or observe any state change at a
+    /// non-memory barrier, so deferring it into the next bulk issue leaves
+    /// every observable bit-identical to issuing it in place; the results
+    /// equal `cores.len()` independent runs (pinned by tests and the
     /// sweep-level refactor-equivalence goldens). When every engine is
-    /// quiescent at once the walk additionally strides to the next memory
-    /// barrier through the tape's packed flag plane, sharing one chunked
-    /// scan across the group.
+    /// quiescent at once the walk strides to the next memory barrier
+    /// through the tape's packed flag plane, sharing one chunked scan
+    /// across the group. Every memory barrier is visited in order, so
+    /// addresses come from a running cursor over [`TraceTape::mem_addrs`].
+    ///
+    /// Groups of the dominant sweep shape (`group_qualifies_direct`:
+    /// direct-mapped L1; no L2, victim buffer, event trace or perfect
+    /// cache) take the specialized `replay_fused_direct` kernel; every
+    /// other group takes the generic walk below.
     ///
     /// # Errors
     ///
@@ -629,9 +573,8 @@ impl Core {
                 for (core, i) in cores.iter_mut().zip(&mut cursors) {
                     let quiescent = core.mem.next_event().is_none();
                     if quiescent && !is_mem {
-                        // The scalar quiescent fast path: this barrier
-                        // bulk-issues with the gap at the engine's next
-                        // memory barrier.
+                        // Quiescent: this barrier bulk-issues with the
+                        // gap at the engine's next memory barrier.
                         continue;
                     }
                     if b > *i {
@@ -832,8 +775,8 @@ impl Core {
                     }
                 } else {
                     // Non-memory barrier: quiescent engines defer it into
-                    // their next bulk issue (the scalar fast path); the
-                    // mask walk visits only the engines with work.
+                    // their next bulk issue; the mask walk visits only the
+                    // engines with work.
                     let mut busy = !quiescent & all;
                     while busy != 0 {
                         let k = busy.trailing_zeros() as usize;

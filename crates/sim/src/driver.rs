@@ -9,7 +9,6 @@ use crate::telemetry::Telemetry;
 use nbl_core::geometry::CacheGeometry;
 use nbl_core::inst::DynInst;
 use nbl_cpu::core_engine::{Core, EngineConfig, EngineError, L2Params};
-use nbl_cpu::dual::DualIssueProcessor;
 use nbl_cpu::issue::{IssueEngine, IssuePolicy};
 use nbl_cpu::stats::ReplayAttribution;
 use nbl_mem::event::MemTrace;
@@ -149,31 +148,54 @@ impl fmt::Display for RunResult {
     }
 }
 
-/// [`InstSink`] adapters: `InstSink::exec` is infallible, so an engine
-/// error is held sticky — execution degenerates to a no-op for the rest of
-/// the stream and the driver reports the first error after the run.
-struct SingleSink<'a> {
-    cpu: &'a mut IssueEngine,
-    error: Option<EngineError>,
+/// The dynamic instruction stream a run feeds its engine from.
+#[derive(Clone, Copy)]
+enum Stream<'a> {
+    /// Replayed off a recorded tape (the product path).
+    Tape(&'a TraceTape),
+    /// Re-interpreted from the compiled program's script through the
+    /// [`Executor`] (the reference path).
+    Interpreted(&'a CompiledProgram),
 }
 
-impl InstSink for SingleSink<'_> {
-    #[inline]
-    fn exec(&mut self, inst: DynInst) {
-        if self.error.is_none() {
-            if let Err(e) = self.cpu.push(inst) {
-                self.error = Some(e);
+impl Stream<'_> {
+    /// Feeds the whole stream into `cpu` (still call
+    /// [`IssueEngine::finish`] afterwards).
+    fn feed(self, cpu: &mut IssueEngine) -> Result<(), EngineError> {
+        match self {
+            Stream::Tape(tape) => cpu.run_tape(tape),
+            Stream::Interpreted(compiled) => {
+                let mut sink = EngineSink { cpu, error: None };
+                Executor::new(compiled).run(&mut sink);
+                sink.error.map_or(Ok(()), Err)
             }
+        }
+    }
+
+    fn load_latency(self) -> u32 {
+        match self {
+            Stream::Tape(tape) => tape.load_latency(),
+            Stream::Interpreted(compiled) => compiled.load_latency,
+        }
+    }
+
+    fn static_spill_ops(self) -> usize {
+        match self {
+            Stream::Tape(tape) => tape.static_spill_ops(),
+            Stream::Interpreted(compiled) => compiled.blocks.iter().map(|b| b.spill_ops).sum(),
         }
     }
 }
 
-struct DualSink<'a> {
-    cpu: &'a mut DualIssueProcessor,
+/// [`InstSink`] adapter: `InstSink::exec` is infallible, so an engine
+/// error is held sticky — execution degenerates to a no-op for the rest of
+/// the stream and the driver reports the first error after the run.
+struct EngineSink<'a> {
+    cpu: &'a mut IssueEngine,
     error: Option<EngineError>,
 }
 
-impl InstSink for DualSink<'_> {
+impl InstSink for EngineSink<'_> {
     #[inline]
     fn exec(&mut self, inst: DynInst) {
         if self.error.is_none() {
@@ -289,14 +311,30 @@ fn release_engine(key: (EngineConfig, IssuePolicy), cpu: IssueEngine) {
     });
 }
 
-fn single_engine_config(cfg: &SimConfig) -> EngineConfig {
+/// Runs `body` on an engine for `(config, policy)` taken from this
+/// worker's arena and hands the engine back afterwards (one that failed
+/// is dropped instead).
+fn with_engine<T>(
+    config: EngineConfig,
+    policy: IssuePolicy,
+    body: impl FnOnce(&mut IssueEngine) -> Result<T, EngineError>,
+) -> Result<T, EngineError> {
+    let mut cpu = acquire_engine(&config, policy);
+    let out = body(&mut cpu)?;
+    release_engine((config, policy), cpu);
+    Ok(out)
+}
+
+/// The engine configuration for `cfg`; `perfect` overrides the cache to
+/// hit on every access (the dual-issue IPC probe).
+fn engine_config(cfg: &SimConfig, perfect: bool) -> EngineConfig {
     let mut cache = cfg.hw.cache_config(cfg.geometry);
     cache.victim_entries = cfg.victim_entries;
     cache.replacement = cfg.replacement;
     EngineConfig {
         cache,
         miss_penalty: cfg.miss_penalty,
-        perfect_cache: false,
+        perfect_cache: perfect,
         memory_gap: cfg.memory_gap,
         l2: l2_params(cfg),
     }
@@ -318,7 +356,7 @@ fn record_single_run(cfg: &SimConfig, result: &RunResult, trace: Option<&MemTrac
 }
 
 /// Drives the run (finish + summarize + telemetry) once the stream has
-/// been fed, shared by the tape and interpreter paths.
+/// been fed, shared by the single and fused paths.
 fn finish_single(
     benchmark: &str,
     cfg: &SimConfig,
@@ -332,50 +370,40 @@ fn finish_single(
     Ok((result, trace))
 }
 
-fn run_single(
-    benchmark: &str,
-    compiled: &CompiledProgram,
-    cfg: &SimConfig,
-    trace_ring: Option<usize>,
-) -> Result<(RunResult, Option<MemTrace>), EngineError> {
-    debug_assert_eq!(compiled.load_latency, cfg.load_latency);
-    let engine_config = single_engine_config(cfg);
-    let policy = cfg.processor.policy();
-    let mut cpu = acquire_engine(&engine_config, policy);
-    if let Some(ring) = trace_ring {
-        cpu.enable_mem_tracing(ring);
-    }
-    let mut sink = SingleSink {
-        cpu: &mut cpu,
-        error: None,
-    };
-    Executor::new(compiled).run(&mut sink);
-    if let Some(e) = sink.error {
-        return Err(e);
-    }
-    let spills = compiled.blocks.iter().map(|b| b.spill_ops).sum();
-    let out = finish_single(benchmark, cfg, spills, &mut cpu)?;
-    release_engine((engine_config, policy), cpu);
-    Ok(out)
+/// What one single-width run observed: its result plus whatever the
+/// armed taps recorded.
+struct SingleRun {
+    result: RunResult,
+    trace: Option<MemTrace>,
+    outcomes: Option<Vec<AccessOutcome>>,
 }
 
-fn replay_single(
+/// One single-width run (whichever `cfg.processor` policy) of `stream`
+/// on a pooled engine, with miss-lifecycle tracing armed when
+/// `trace_ring` is set and the outcome tap armed when `probe` is.
+fn run_single(
     benchmark: &str,
-    tape: &TraceTape,
+    stream: Stream<'_>,
     cfg: &SimConfig,
     trace_ring: Option<usize>,
-) -> Result<(RunResult, Option<MemTrace>), EngineError> {
-    debug_assert_eq!(tape.load_latency(), cfg.load_latency);
-    let engine_config = single_engine_config(cfg);
-    let policy = cfg.processor.policy();
-    let mut cpu = acquire_engine(&engine_config, policy);
-    if let Some(ring) = trace_ring {
-        cpu.enable_mem_tracing(ring);
-    }
-    cpu.run_tape(tape)?;
-    let out = finish_single(benchmark, cfg, tape.static_spill_ops(), &mut cpu)?;
-    release_engine((engine_config, policy), cpu);
-    Ok(out)
+    probe: bool,
+) -> Result<SingleRun, EngineError> {
+    debug_assert_eq!(stream.load_latency(), cfg.load_latency);
+    with_engine(engine_config(cfg, false), cfg.processor.policy(), |cpu| {
+        if let Some(ring) = trace_ring {
+            cpu.enable_mem_tracing(ring);
+        }
+        if probe {
+            cpu.enable_outcome_tap();
+        }
+        stream.feed(cpu)?;
+        let (result, trace) = finish_single(benchmark, cfg, stream.static_spill_ops(), cpu)?;
+        Ok(SingleRun {
+            result,
+            trace,
+            outcomes: cpu.take_outcomes(),
+        })
+    })
 }
 
 /// Replays a recorded tape through the single-issue processor under `cfg`
@@ -390,7 +418,7 @@ pub fn run_tape(
     tape: &TraceTape,
     cfg: &SimConfig,
 ) -> Result<RunResult, EngineError> {
-    replay_single(benchmark, tape, cfg, None).map(|(r, _)| r)
+    run_single(benchmark, Stream::Tape(tape), cfg, None, false).map(|run| run.result)
 }
 
 /// [`run_tape`] with the per-access outcome tap armed: returns the run
@@ -409,16 +437,8 @@ pub fn run_tape_probed(
     tape: &TraceTape,
     cfg: &SimConfig,
 ) -> Result<(RunResult, Vec<AccessOutcome>), EngineError> {
-    debug_assert_eq!(tape.load_latency(), cfg.load_latency);
-    let engine_config = single_engine_config(cfg);
-    let policy = cfg.processor.policy();
-    let mut cpu = acquire_engine(&engine_config, policy);
-    cpu.enable_outcome_tap();
-    cpu.run_tape(tape)?;
-    let (result, _) = finish_single(benchmark, cfg, tape.static_spill_ops(), &mut cpu)?;
-    let outcomes = cpu.take_outcomes().unwrap_or_default();
-    release_engine((engine_config, policy), cpu);
-    Ok((result, outcomes))
+    let run = run_single(benchmark, Stream::Tape(tape), cfg, None, true)?;
+    Ok((run.result, run.outcomes.unwrap_or_default()))
 }
 
 /// Replays one tape through several hardware configurations in a single
@@ -453,7 +473,7 @@ pub fn run_tape_fused(
             .map(|cfg| run_tape(benchmark, tape, cfg))
             .collect();
     }
-    let engine_configs: Vec<EngineConfig> = cfgs.iter().map(single_engine_config).collect();
+    let engine_configs: Vec<EngineConfig> = cfgs.iter().map(|c| engine_config(c, false)).collect();
     let mut cpus: Vec<IssueEngine> = engine_configs
         .iter()
         .map(|c| acquire_engine(c, IssuePolicy::SingleInOrder))
@@ -506,38 +526,7 @@ pub fn run_compiled_interpreted(
     compiled: &CompiledProgram,
     cfg: &SimConfig,
 ) -> Result<RunResult, EngineError> {
-    run_single(benchmark, compiled, cfg, None).map(|(r, _)| r)
-}
-
-/// Like [`run_compiled`], but with miss-lifecycle tracing enabled: the
-/// returned [`MemTrace`] holds the last `ring_capacity` raw events and the
-/// full [`nbl_mem::event::MissLifecycleStats`] aggregate of the run.
-///
-/// # Errors
-///
-/// [`EngineError`] if the engine hit a model invariant violation mid-run.
-pub fn run_compiled_traced(
-    benchmark: &str,
-    compiled: &CompiledProgram,
-    cfg: &SimConfig,
-    ring_capacity: usize,
-) -> Result<(RunResult, MemTrace), EngineError> {
-    let tape = TapeCache::global().get_or_record(compiled);
-    replay_single(benchmark, &tape, cfg, Some(ring_capacity))
-        .map(|(r, t)| (r, t.expect("tracing was enabled")))
-}
-
-/// Like [`run_program`], but compiling through the process-wide
-/// [`CompileCache`] — repeated runs of one `(benchmark, latency)` pair
-/// (across configurations, experiments, or pool workers) share a single
-/// compilation.
-///
-/// # Errors
-///
-/// [`SimError`] from the compiler model or the engine.
-pub fn run_program_cached(program: &Program, cfg: &SimConfig) -> Result<RunResult, SimError> {
-    let compiled = CompileCache::global().get_or_compile(program, cfg.load_latency)?;
-    Ok(run_compiled(&program.name, &compiled, cfg)?)
+    run_single(benchmark, Stream::Interpreted(compiled), cfg, None, false).map(|run| run.result)
 }
 
 /// Compiles `program` for `cfg.load_latency` and runs it.
@@ -550,8 +539,10 @@ pub fn run_program(program: &Program, cfg: &SimConfig) -> Result<RunResult, SimE
     Ok(run_compiled(&program.name, &compiled, cfg)?)
 }
 
-/// Compiles `program` and runs it with miss-lifecycle tracing (see
-/// [`run_compiled_traced`]).
+/// Compiles `program` (through the process-wide [`CompileCache`]) and
+/// replays it with miss-lifecycle tracing enabled: the returned
+/// [`MemTrace`] holds the last `ring_capacity` raw events and the full
+/// [`nbl_mem::event::MissLifecycleStats`] aggregate of the run.
 ///
 /// # Errors
 ///
@@ -562,12 +553,15 @@ pub fn run_program_traced(
     ring_capacity: usize,
 ) -> Result<(RunResult, MemTrace), SimError> {
     let compiled = CompileCache::global().get_or_compile(program, cfg.load_latency)?;
-    Ok(run_compiled_traced(
+    let tape = TapeCache::global().get_or_record(&compiled);
+    let run = run_single(
         &program.name,
-        &compiled,
+        Stream::Tape(&tape),
         cfg,
-        ring_capacity,
-    )?)
+        Some(ring_capacity),
+        false,
+    )?;
+    Ok((run.result, run.trace.expect("tracing was enabled")))
 }
 
 /// Result of a dual-issue run (paper §6 / Fig. 19).
@@ -601,50 +595,42 @@ pub fn run_dual(program: &Program, cfg: &SimConfig) -> Result<DualRunResult, Sim
     Ok(run_dual_compiled(&program.name, &compiled, cfg)?)
 }
 
-/// Like [`run_dual`], but compiling through the process-wide
-/// [`CompileCache`].
-///
-/// # Errors
-///
-/// [`SimError`] from the compiler model or the engine.
-pub fn run_dual_cached(program: &Program, cfg: &SimConfig) -> Result<DualRunResult, SimError> {
-    let compiled = CompileCache::global().get_or_compile(program, cfg.load_latency)?;
-    Ok(run_dual_compiled(&program.name, &compiled, cfg)?)
-}
-
-fn dual_engine_config(cfg: &SimConfig, perfect: bool) -> EngineConfig {
-    let mut cache = cfg.hw.cache_config(cfg.geometry);
-    cache.victim_entries = cfg.victim_entries;
-    cache.replacement = cfg.replacement;
-    EngineConfig {
-        cache,
-        miss_penalty: cfg.miss_penalty,
-        perfect_cache: perfect,
-        memory_gap: cfg.memory_gap,
-        l2: l2_params(cfg),
-    }
-}
-
-/// Builds the [`DualRunResult`] from the two finished passes and records
-/// both as simulated work.
-fn summarize_dual(
+/// Both dual-issue passes of `stream` — perfect-cache, then real — on
+/// pooled engines, summarized into a [`DualRunResult`] and recorded as
+/// simulated work.
+fn run_dual_stream(
     benchmark: &str,
+    stream: Stream<'_>,
     cfg: &SimConfig,
-    perfect: &DualIssueProcessor,
-    real: &DualIssueProcessor,
-) -> DualRunResult {
-    let instructions = real.stats().instructions;
-    Telemetry::global().record_run(instructions, perfect.now().0);
-    Telemetry::global().record_run(instructions, real.now().0);
-    DualRunResult {
-        benchmark: benchmark.to_string(),
-        config: cfg.hw.label(),
-        instructions,
-        cycles: real.now().0,
-        perfect_cycles: perfect.now().0,
-        ipc: instructions as f64 / perfect.now().0.max(1) as f64,
-        mcpi: real.mcpi_against(perfect.now()),
-    }
+) -> Result<DualRunResult, EngineError> {
+    debug_assert_eq!(stream.load_latency(), cfg.load_latency);
+    let pass = |cpu: &mut IssueEngine| -> Result<(), EngineError> {
+        stream.feed(cpu)?;
+        cpu.finish()
+    };
+    let perfect = with_engine(engine_config(cfg, true), IssuePolicy::DualInOrder, |cpu| {
+        pass(cpu)?;
+        Ok(cpu.now())
+    })?;
+    with_engine(
+        engine_config(cfg, false),
+        IssuePolicy::DualInOrder,
+        |real| {
+            pass(real)?;
+            let instructions = real.stats().instructions;
+            Telemetry::global().record_run(instructions, perfect.0);
+            Telemetry::global().record_run(instructions, real.now().0);
+            Ok(DualRunResult {
+                benchmark: benchmark.to_string(),
+                config: cfg.hw.label(),
+                instructions,
+                cycles: real.now().0,
+                perfect_cycles: perfect.0,
+                ipc: instructions as f64 / perfect.0.max(1) as f64,
+                mcpi: real.mcpi_against(perfect),
+            })
+        },
+    )
 }
 
 /// The dual-issue run on a recorded tape (which must match
@@ -659,16 +645,7 @@ pub fn run_dual_tape(
     tape: &TraceTape,
     cfg: &SimConfig,
 ) -> Result<DualRunResult, EngineError> {
-    debug_assert_eq!(tape.load_latency(), cfg.load_latency);
-    let run_pass = |perfect: bool| -> Result<DualIssueProcessor, EngineError> {
-        let mut cpu = DualIssueProcessor::new(dual_engine_config(cfg, perfect));
-        cpu.run_tape(tape)?;
-        cpu.finish()?;
-        Ok(cpu)
-    };
-    let perfect = run_pass(true)?;
-    let real = run_pass(false)?;
-    Ok(summarize_dual(benchmark, cfg, &perfect, &real))
+    run_dual_stream(benchmark, Stream::Tape(tape), cfg)
 }
 
 /// The dual-issue run on an already-compiled program (which must match
@@ -701,23 +678,7 @@ pub fn run_dual_compiled_interpreted(
     compiled: &CompiledProgram,
     cfg: &SimConfig,
 ) -> Result<DualRunResult, EngineError> {
-    debug_assert_eq!(compiled.load_latency, cfg.load_latency);
-    let run_pass = |perfect: bool| -> Result<DualIssueProcessor, EngineError> {
-        let mut cpu = DualIssueProcessor::new(dual_engine_config(cfg, perfect));
-        let mut sink = DualSink {
-            cpu: &mut cpu,
-            error: None,
-        };
-        Executor::new(compiled).run(&mut sink);
-        if let Some(e) = sink.error {
-            return Err(e);
-        }
-        cpu.finish()?;
-        Ok(cpu)
-    };
-    let perfect = run_pass(true)?;
-    let real = run_pass(false)?;
-    Ok(summarize_dual(benchmark, cfg, &perfect, &real))
+    run_dual_stream(benchmark, Stream::Interpreted(compiled), cfg)
 }
 
 impl RunResult {
@@ -732,6 +693,7 @@ impl RunResult {
 mod tests {
     use super::*;
     use crate::config::HwConfig;
+    use nbl_core::tag_array::ReplacementKind;
     use nbl_trace::workloads::{build, Scale};
 
     fn quick(name: &str, hw: HwConfig) -> RunResult {
@@ -791,5 +753,46 @@ mod tests {
         assert!(d.ipc <= 2.0);
         assert!(d.mcpi >= 0.0);
         assert!(d.cycles >= d.perfect_cycles);
+    }
+
+    /// The probed replay records every access, in order, exactly once:
+    /// its outcome sequence equals the one from pushing the executor's
+    /// stream through a tapped engine, both on the direct-mapped kernel
+    /// (dm `mc=0`, dm `fc=2`) and on the generic walk (4-way LRU `fc=2`).
+    #[test]
+    fn probed_replay_matches_pushed_stream_outcomes() {
+        let four_way = CacheGeometry::new(8 * 1024, 32, 4).unwrap();
+        let cfgs = [
+            SimConfig::baseline(HwConfig::Mc0),
+            SimConfig::baseline(HwConfig::Fc(2)),
+            SimConfig::baseline(HwConfig::Fc(2))
+                .with_geometry(four_way)
+                .with_replacement(ReplacementKind::Lru),
+        ];
+        for name in ["eqntott", "tomcatv"] {
+            let p = build(name, Scale::quick()).unwrap();
+            for cfg in &cfgs {
+                let compiled = compile(&p, cfg.load_latency).unwrap();
+                let tape = TraceTape::record(&compiled);
+                let (result, probed) = run_tape_probed(name, &tape, cfg).unwrap();
+
+                let mut pushed =
+                    IssueEngine::new(engine_config(cfg, false), IssuePolicy::SingleInOrder);
+                pushed.enable_outcome_tap();
+                for inst in tape.iter() {
+                    pushed.push(inst).unwrap();
+                }
+                pushed.finish().unwrap();
+                let reference = pushed.take_outcomes().unwrap();
+
+                let label = format!("{name} {} {}", cfg.geometry, cfg.hw.label());
+                assert_eq!(
+                    probed.len() as u64,
+                    result.loads + result.stores,
+                    "{label}: one outcome per access"
+                );
+                assert_eq!(probed, reference, "{label}");
+            }
+        }
     }
 }

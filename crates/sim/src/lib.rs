@@ -53,10 +53,9 @@ pub mod telemetry;
 pub use compile_cache::{CacheStats, CompileCache};
 pub use config::{HwConfig, IssueWidth, ProcessorKind, SimConfig};
 pub use driver::{
-    run_compiled, run_compiled_interpreted, run_compiled_traced, run_dual, run_dual_cached,
-    run_dual_compiled, run_dual_compiled_interpreted, run_dual_tape, run_program,
-    run_program_cached, run_program_traced, run_tape, run_tape_fused, run_tape_probed,
-    DualRunResult, RunResult, SimError,
+    run_compiled, run_compiled_interpreted, run_dual, run_dual_compiled,
+    run_dual_compiled_interpreted, run_dual_tape, run_program, run_program_traced, run_tape,
+    run_tape_fused, run_tape_probed, DualRunResult, RunResult, SimError,
 };
 pub use pool::{available_threads, JobPanic, JobPool};
 pub use store::{

@@ -6,7 +6,10 @@
 //! trigger (unit tests in the library binary run concurrently and would
 //! perturb the deltas).
 
-use nbl_sim::{run_tape, run_tape_fused, CompileCache, HwConfig, SimConfig, TapeCache, Telemetry};
+use nbl_sim::{
+    run_dual_tape, run_tape, run_tape_fused, CompileCache, HwConfig, SimConfig, TapeCache,
+    Telemetry,
+};
 use nbl_trace::workloads::{build, Scale};
 use std::sync::Mutex;
 
@@ -82,4 +85,24 @@ fn fused_replay_draws_from_and_refills_the_arena() {
         .map(|cfg| run_tape(&program.name, &tape, cfg).unwrap())
         .collect();
     assert_eq!(first, solo, "fusion must not change any metric");
+}
+
+#[test]
+fn warm_dual_runs_draw_both_passes_from_the_arena() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let program = build("xlisp", Scale::quick()).unwrap();
+    let cfg = SimConfig::baseline(HwConfig::Fc(2));
+    let compiled = CompileCache::global()
+        .get_or_compile(&program, cfg.load_latency)
+        .unwrap();
+    let tape = TapeCache::global().get_or_record(&compiled);
+
+    let cold = run_dual_tape(&program.name, &tape, &cfg).unwrap();
+    let before = Telemetry::global().snapshot();
+    let warm = run_dual_tape(&program.name, &tape, &cfg).unwrap();
+    let delta = Telemetry::global().snapshot().since(before);
+    // One engine per pass: the perfect-cache probe and the real run.
+    assert_eq!(delta.arena_builds, 0, "a warm dual run builds nothing");
+    assert_eq!(delta.arena_reuses, 2);
+    assert_eq!(cold, warm, "pooled dual replay must be bit-identical");
 }

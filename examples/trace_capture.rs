@@ -10,7 +10,7 @@
 //! ```
 
 use nonblocking_loads::cpu::core_engine::EngineConfig;
-use nonblocking_loads::cpu::pipeline::Processor;
+use nonblocking_loads::cpu::issue::{IssueEngine, IssuePolicy};
 use nonblocking_loads::sched::compile::compile;
 use nonblocking_loads::sim::config::{HwConfig, SimConfig};
 use nonblocking_loads::sim::driver::run_compiled;
@@ -47,17 +47,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("direct simulation:   MCPI {:.6}", direct.mcpi);
 
     // 3. Replay the file through a fresh processor.
-    let mut cpu = Processor::new(EngineConfig {
-        cache: cfg.hw.cache_config(cfg.geometry),
-        miss_penalty: cfg.miss_penalty,
-        perfect_cache: false,
-        memory_gap: 0,
-        l2: None,
-    });
-    struct Sink<'a>(&'a mut Processor);
+    let mut cpu = IssueEngine::new(
+        EngineConfig {
+            cache: cfg.hw.cache_config(cfg.geometry),
+            miss_penalty: cfg.miss_penalty,
+            perfect_cache: false,
+            memory_gap: 0,
+            l2: None,
+        },
+        IssuePolicy::SingleInOrder,
+    );
+    struct Sink<'a>(&'a mut IssueEngine);
     impl InstSink for Sink<'_> {
         fn exec(&mut self, inst: nonblocking_loads::core::inst::DynInst) {
-            self.0.step(&inst).expect("replay hits no engine error");
+            self.0.push(inst).expect("replay hits no engine error");
         }
     }
     let reader = TraceReader::new(BufReader::new(File::open(&path)?))?;
@@ -67,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reader.load_latency()
     );
     let replayed = reader.replay_into(&mut Sink(&mut cpu))?;
-    cpu.finish();
+    cpu.finish()?;
     println!(
         "replayed simulation: MCPI {:.6} ({replayed} instructions)",
         cpu.stats().mcpi()

@@ -34,6 +34,11 @@ cargo test -q -p nbl-sim --test warm_arena
 echo "== artifact store: cross-process warm start + corruption recovery =="
 cargo test -q -p nbl-sim --test artifact_store
 
+echo "== perfbench: the benchmark crate builds against these crates, its tests pass =="
+# perfbench/ is a workspace of its own with path dependencies on crates/*,
+# so a driver API change that breaks it fails here, not in a benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
