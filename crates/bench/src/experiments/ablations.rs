@@ -19,14 +19,14 @@
 //! Each section is a small benchmark × variant grid; the grids run on the
 //! shared parallel engine and print from the input-ordered results.
 
-use super::{mcpi_grid, programs_for, ExhibitError, RunScale};
+use super::{programs_for, Ctx, ExhibitError};
 use nbl_core::limit::Limit;
 use nbl_core::mshr::TargetPolicy;
 use nbl_sim::config::{HwConfig, SimConfig};
 use std::io::Write;
 
 /// Prints all the ablations.
-pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
+pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
     let _ = writeln!(out, "== Ablations ==");
 
     // 1. In-cache storage vs discrete MSHRs at the same per-set limit.
@@ -40,8 +40,8 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
         "bench", "fs=1", "in-cache", "penalty"
     );
     let benches = ["su2cor", "doduc", "tomcatv"];
-    let grid = mcpi_grid(
-        &programs_for(&benches, scale)?,
+    let grid = ctx.mcpi_grid(
+        &programs_for(&benches, ctx.scale)?,
         &[
             SimConfig::baseline(HwConfig::Fs(1)),
             SimConfig::baseline(HwConfig::InCache),
@@ -70,7 +70,7 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
             .into_iter()
             .map(|k| SimConfig::baseline(HwConfig::InCacheNarrowPort(k)))
             .collect();
-        let grid = mcpi_grid(&programs_for(&["su2cor"], scale)?, &cfgs)?;
+        let grid = ctx.mcpi_grid(&programs_for(&["su2cor"], ctx.scale)?, &cfgs)?;
         let _ = write!(out, "{:>10}", "MCPI");
         for m in &grid[0] {
             let _ = write!(out, " {m:>8.3}");
@@ -89,8 +89,8 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
         "bench", "mc=0", "mc=0+wma", "overhead"
     );
     let benches = ["xlisp", "tomcatv", "compress"];
-    let grid = mcpi_grid(
-        &programs_for(&benches, scale)?,
+    let grid = ctx.mcpi_grid(
+        &programs_for(&benches, ctx.scale)?,
         &[
             SimConfig::baseline(HwConfig::Mc0),
             SimConfig::baseline(HwConfig::Mc0Wma),
@@ -119,8 +119,8 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
         "bench", "1 field", "unlimited", "gain"
     );
     let benches = ["doduc", "mdljdp2", "tomcatv"];
-    let grid = mcpi_grid(
-        &programs_for(&benches, scale)?,
+    let grid = ctx.mcpi_grid(
+        &programs_for(&benches, ctx.scale)?,
         &[
             SimConfig::baseline(HwConfig::Targets(TargetPolicy::explicit(Limit::Finite(1)))),
             SimConfig::baseline(HwConfig::Targets(TargetPolicy::explicit(Limit::Unlimited))),
@@ -153,7 +153,7 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
         .into_iter()
         .map(|gap| SimConfig::baseline(HwConfig::NoRestrict).with_memory_gap(gap))
         .collect();
-    let grid = mcpi_grid(&programs_for(&benches, scale)?, &cfgs)?;
+    let grid = ctx.mcpi_grid(&programs_for(&benches, ctx.scale)?, &cfgs)?;
     for (bench, row) in benches.iter().zip(&grid) {
         let _ = write!(out, "{bench:>10}");
         for m in row {

@@ -32,10 +32,10 @@
 //! store) so the ratio is comparable across machines regardless of
 //! `NBL_THREADS`; fusion-aware row-span scheduling
 //! ([`SweepEngine::grid_sweep`]) is what keeps the multi-thread ratio
-//! above 1.0. The warm wall is also split into an estimated
-//! `tape_scan_s` + `mem_step_s` pair by instruction/cycle attribution
-//! (every tape entry ticks once; cycles beyond instructions are
-//! memory-system stepping).
+//! above 1.0. Every private engine's compile, tape and telemetry
+//! counters are added to the invocation's totals
+//! ([`Ctx::retire`]), so the closing throughput summary counts the work
+//! this exhibit did.
 //!
 //! The exhibit asserts nothing but verifies and reports that all passes
 //! produce bit-identical [`RunResult`]s, and writes the measurements to
@@ -48,14 +48,13 @@
 //! fused replay *loses* to unfused at either pinned thread count are
 //! flagged (`fusion_regressed`) — the gate `scripts/verify.sh` fails on.
 
-use super::{bench_opts, programs_for, ExhibitError, RunScale, LATENCIES};
+use super::{programs_for, Ctx, ExhibitError, RunScale, LATENCIES};
 use nbl_sim::config::{HwConfig, SimConfig};
 use nbl_sim::driver::{run_compiled_interpreted, RunResult};
 use nbl_sim::pool::available_threads;
 use nbl_sim::report;
-use nbl_sim::store::{store_settings, ArtifactStore, StoreStats};
+use nbl_sim::store::{ArtifactStore, StoreStats};
 use nbl_sim::sweep::SweepEngine;
-use nbl_sim::telemetry::Telemetry;
 use nbl_trace::ir::Program;
 use nbl_trace::workloads::ALL;
 use std::io::Write;
@@ -112,7 +111,8 @@ fn unfused_pass(
 }
 
 /// Runs the same cells, in the same order, through the interpreter path
-/// (compilations served from the engine's warm cache, no tapes).
+/// (compilations served from the engine's warm cache, no tapes),
+/// counting the runs in the engine's telemetry.
 fn interpreted_pass(
     engine: &SweepEngine,
     programs: &[Program],
@@ -136,8 +136,12 @@ fn interpreted_pass(
                     .cache()
                     .get_or_compile(program, cfg.load_latency)
                     .map_err(|e| format!("{}: {e}", program.name))?;
-                run_compiled_interpreted(&program.name, &compiled, &cfg)
-                    .map_err(|e| format!("{}: {e}", program.name))
+                let result = engine
+                    .telemetry()
+                    .track(|| run_compiled_interpreted(&program.name, &compiled, &cfg))
+                    .map_err(|e| format!("{}: {e}", program.name))?;
+                engine.telemetry().record_result(&cfg, &result);
+                Ok(result)
             },
         )
         .map_err(|e| ExhibitError::new("bench interpreted pass", e))?
@@ -214,8 +218,8 @@ fn prior_trajectory(json: &str) -> Option<&str> {
 /// the harness rather than the workloads, and the JSON it emits is
 /// compared commit over commit, so the grid must not change shape with
 /// command-line flags.
-pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
-    let opts = bench_opts();
+pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
+    let opts = &ctx.bench;
     let reps = opts.reps.max(1);
     let programs = programs_for(&ALL, RunScale::Quick)?;
     // The exhibit always runs on a disk-backed store (the configured one,
@@ -223,8 +227,9 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
     // to read. Cross-process warm starts are the point: when a previous
     // process populated this store, the "cold" pass loads its tapes from
     // the disk tier instead of recording.
-    let store_dir = store_settings()
-        .dir
+    let store_dir = ctx
+        .store_dir
+        .clone()
         .unwrap_or_else(|| PathBuf::from("results/store"));
     let engine = SweepEngine::with_store(
         available_threads(),
@@ -240,26 +245,11 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
     let (cold_wall, cold) = sweep_pass(&engine, &programs)?;
     let mut identical = true;
     let mut warm_wall = f64::INFINITY;
-    let tele_before = Telemetry::global().snapshot();
     for _ in 0..reps {
         let (wall, pass) = sweep_pass(&engine, &programs)?;
         warm_wall = warm_wall.min(wall);
         identical &= pass == cold;
     }
-    // Per-phase attribution of the warm fused wall, estimated from the
-    // telemetry counters: every tape entry ticks the core exactly once,
-    // so the simulated instruction count tracks tape-scan work while the
-    // cycles beyond it are memory-system stepping (miss stalls, fill
-    // drains, hazard replays). The shares are per-pass invariant, so the
-    // fraction over the whole reps interval applies to the best wall.
-    let tele_warm = Telemetry::global().snapshot().since(tele_before);
-    let scan_frac = if tele_warm.cycles > 0 {
-        (tele_warm.instructions as f64 / tele_warm.cycles as f64).min(1.0)
-    } else {
-        0.0
-    };
-    let tape_scan_s = warm_wall * scan_frac;
-    let mem_step_s = warm_wall - tape_scan_s;
     let (unfused_wall, unfused) = unfused_pass(&engine, &programs)?;
     identical &= unfused == cold;
     let mut interp_wall = f64::INFINITY;
@@ -302,6 +292,7 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
             identical &= pass == cold;
         }
         *slot = unfused_best / fused_best;
+        ctx.retire(&check_engine);
     }
     let [speedup_fused_vs_unfused_1t, speedup_fused_vs_unfused_4t] = fusion_speedups;
     let speedup_vs_interpreted = interp_wall / warm_wall;
@@ -313,6 +304,8 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
     let tapes = engine.tapes().stats();
     let store = engine.store().disk_stats();
     let disk_store = disk_engine.store().disk_stats();
+    ctx.retire(&engine);
+    ctx.retire(&disk_engine);
     let git = git_describe();
 
     let _ = writeln!(
@@ -361,11 +354,6 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
         "fusion check (best of {reps} each side): 1 thread {speedup_fused_vs_unfused_1t:.2}x, \
          4 threads {speedup_fused_vs_unfused_4t:.2}x fused vs unfused"
     );
-    let _ = writeln!(
-        out,
-        "warm phase estimate: tape scan {tape_scan_s:.3}s + mem step {mem_step_s:.3}s \
-         (instruction/cycle attribution)"
-    );
     if fusion_regressed {
         let _ = writeln!(
             out,
@@ -405,17 +393,32 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
         if identical { "yes" } else { "NO" }
     );
 
+    // The walls and speedups both the snapshot and its trajectory entry
+    // carry.
+    let timings = format!(
+        concat!(
+            "\"cold_wall_s\":{:.6},\"warm_wall_s\":{:.6},\"unfused_wall_s\":{:.6},",
+            "\"interpreted_wall_s\":{:.6},\"disk_warm_wall_s\":{:.6},",
+            "\"warm_runs_per_sec\":{:.2},",
+            "\"speedup_warm_vs_interpreted\":{:.3},\"speedup_fused_vs_unfused\":{:.3},",
+            "\"speedup_fused_vs_unfused_1t\":{:.3},\"speedup_fused_vs_unfused_4t\":{:.3},",
+        ),
+        cold_wall,
+        warm_wall,
+        unfused_wall,
+        interp_wall,
+        disk_warm_wall,
+        runs as f64 / warm_wall,
+        speedup_vs_interpreted,
+        speedup_fused_vs_unfused,
+        speedup_fused_vs_unfused_1t,
+        speedup_fused_vs_unfused_4t,
+    );
     // One trajectory entry per invocation; the file accumulates them so
     // BENCH_sweep.json reads as a perf history across commits.
     let entry = format!(
         concat!(
-            "{{\"date\":\"{}\",\"git\":\"{}\",\"threads\":{},\"reps\":{},",
-            "\"cold_wall_s\":{:.6},\"warm_wall_s\":{:.6},\"unfused_wall_s\":{:.6},",
-            "\"interpreted_wall_s\":{:.6},\"disk_warm_wall_s\":{:.6},",
-            "\"tape_scan_s\":{:.6},\"mem_step_s\":{:.6},",
-            "\"warm_runs_per_sec\":{:.2},",
-            "\"speedup_warm_vs_interpreted\":{:.3},\"speedup_fused_vs_unfused\":{:.3},",
-            "\"speedup_fused_vs_unfused_1t\":{:.3},\"speedup_fused_vs_unfused_4t\":{:.3},",
+            "{{\"date\":\"{}\",\"git\":\"{}\",\"threads\":{},\"reps\":{},{}",
             "\"speedup_disk_warm_vs_cold\":{:.3},\"fusion_regressed\":{},",
             "\"tape_resident_bytes\":{},\"tape_bytes_per_inst\":{:.4},",
             "\"bit_identical\":{},\"oracle_checked\":{}}}"
@@ -424,18 +427,7 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
         json_escape(&git),
         threads,
         reps,
-        cold_wall,
-        warm_wall,
-        unfused_wall,
-        interp_wall,
-        disk_warm_wall,
-        tape_scan_s,
-        mem_step_s,
-        runs as f64 / warm_wall,
-        speedup_vs_interpreted,
-        speedup_fused_vs_unfused,
-        speedup_fused_vs_unfused_1t,
-        speedup_fused_vs_unfused_4t,
+        timings,
         speedup_disk_warm_vs_cold,
         fusion_regressed,
         tapes.resident_bytes,
@@ -473,13 +465,7 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
         concat!(
             "{{\"kind\":\"bench_sweep\",\"scale\":\"quick\",",
             "\"benchmarks\":{},\"configs\":{},\"load_latencies\":{},",
-            "\"runs\":{},\"threads\":{},\"reps\":{},\"git\":\"{}\",\"date\":\"{}\",",
-            "\"cold_wall_s\":{:.6},\"warm_wall_s\":{:.6},\"unfused_wall_s\":{:.6},",
-            "\"interpreted_wall_s\":{:.6},\"disk_warm_wall_s\":{:.6},",
-            "\"tape_scan_s\":{:.6},\"mem_step_s\":{:.6},",
-            "\"warm_runs_per_sec\":{:.2},",
-            "\"speedup_warm_vs_interpreted\":{:.3},\"speedup_fused_vs_unfused\":{:.3},",
-            "\"speedup_fused_vs_unfused_1t\":{:.3},\"speedup_fused_vs_unfused_4t\":{:.3},",
+            "\"runs\":{},\"threads\":{},\"reps\":{},\"git\":\"{}\",\"date\":\"{}\",{}",
             "\"speedup_warm_vs_cold\":{:.3},\"speedup_disk_warm_vs_cold\":{:.3},",
             "\"fusion_regressed\":{},",
             "\"bit_identical\":{},\"caches\":{},",
@@ -493,18 +479,7 @@ pub fn run(out: &mut dyn Write, _scale: RunScale) -> Result<(), ExhibitError> {
         reps,
         json_escape(&git),
         json_escape(&opts.date),
-        cold_wall,
-        warm_wall,
-        unfused_wall,
-        interp_wall,
-        disk_warm_wall,
-        tape_scan_s,
-        mem_step_s,
-        runs as f64 / warm_wall,
-        speedup_vs_interpreted,
-        speedup_fused_vs_unfused,
-        speedup_fused_vs_unfused_1t,
-        speedup_fused_vs_unfused_4t,
+        timings,
         speedup_vs_cold,
         speedup_disk_warm_vs_cold,
         fusion_regressed,

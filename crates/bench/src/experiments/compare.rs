@@ -2,11 +2,11 @@
 //! workload calibration and for EXPERIMENTS.md.
 
 use super::paper::fig13_row;
-use super::{fig13, ExhibitError, RunScale};
+use super::{fig13, Ctx, ExhibitError};
 use std::io::Write;
 
 /// Prints measured-vs-paper MCPI and ratios for all 18 benchmarks.
-pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
+pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
     let _ = writeln!(
         out,
         "== Paper vs measured: Fig. 13 (MCPI at latency 10; ratio = config/unrestricted) =="
@@ -16,7 +16,7 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
         "{:>10} | {:>11} {:>11} | {:>17} {:>17}",
         "bench", "mc0 (p/m)", "inf (p/m)", "ratios paper", "ratios measured"
     );
-    for (name, measured) in fig13::grid(scale)? {
+    for (name, measured) in fig13::grid(ctx)? {
         let paper = fig13_row(name).ok_or_else(|| {
             ExhibitError::new(
                 format!("paper row for {name}"),

@@ -20,16 +20,13 @@
 //! Each study is a benchmark × variant grid run on the shared parallel
 //! engine; the tables print from the input-ordered results.
 
-use super::{mcpi_grid, programs_for, ExhibitError, RunScale};
+use super::{programs_for, Ctx, ExhibitError};
 use nbl_core::geometry::CacheGeometry;
 use nbl_sim::config::{HwConfig, SimConfig};
 use std::io::Write;
 
 /// E-NBW: non-blocking write allocation on the store-heavy benchmarks.
-pub fn nonblocking_write_allocate(
-    out: &mut dyn Write,
-    scale: RunScale,
-) -> Result<(), ExhibitError> {
+pub fn nonblocking_write_allocate(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
     let _ = writeln!(
         out,
         "== Extension E-NBW: non-blocking write-miss allocation =="
@@ -40,8 +37,8 @@ pub fn nonblocking_write_allocate(
         "bench", "mc=0 + wma", "mc=0", "fc=2", "fc=2 + nb-wma", "wma recovered"
     );
     let benches = ["xlisp", "tomcatv", "compress", "su2cor"];
-    let grid = mcpi_grid(
-        &programs_for(&benches, scale)?,
+    let grid = ctx.mcpi_grid(
+        &programs_for(&benches, ctx.scale)?,
         &[
             SimConfig::baseline(HwConfig::Mc0Wma),
             SimConfig::baseline(HwConfig::Mc0),
@@ -77,10 +74,7 @@ pub fn nonblocking_write_allocate(
 
 /// E-ASSOC: associativity removes the conflicts that per-set fetch limits
 /// choke on.
-pub fn associativity_vs_fetch_limits(
-    out: &mut dyn Write,
-    scale: RunScale,
-) -> Result<(), ExhibitError> {
+pub fn associativity_vs_fetch_limits(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
     let _ = writeln!(
         out,
         "== Extension E-ASSOC: associativity vs per-set fetch limits (su2cor) =="
@@ -98,7 +92,7 @@ pub fn associativity_vs_fetch_limits(
         cfgs.push(SimConfig::baseline(HwConfig::Fs(1)).with_geometry(geom));
         cfgs.push(SimConfig::baseline(HwConfig::NoRestrict).with_geometry(geom));
     }
-    let grid = mcpi_grid(&programs_for(&["su2cor"], scale)?, &cfgs)?;
+    let grid = ctx.mcpi_grid(&programs_for(&["su2cor"], ctx.scale)?, &cfgs)?;
     for (i, ways) in WAYS.into_iter().enumerate() {
         let (fs1, inf) = (grid[0][2 * i], grid[0][2 * i + 1]);
         let label = if ways == 256 {
@@ -132,7 +126,7 @@ pub fn associativity_vs_fetch_limits(
 /// are feasible for on-chip implementation"); this measures whether its
 /// central ranking survives when a 256 KB L2 turns most L1 misses into
 /// 6-cycle hits and stretches true memory trips to 40 cycles.
-pub fn two_level_hierarchy(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
+pub fn two_level_hierarchy(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
     let _ = writeln!(
         out,
         "== Extension E-L2: 256KB L2 (6-cycle hit, 40-cycle miss) =="
@@ -163,7 +157,7 @@ pub fn two_level_hierarchy(out: &mut dyn Write, scale: RunScale) -> Result<(), E
             })
         })
         .collect();
-    let grid = mcpi_grid(&programs_for(&benches, scale)?, &cfgs)?;
+    let grid = ctx.mcpi_grid(&programs_for(&benches, ctx.scale)?, &cfgs)?;
     for (bench, row) in benches.iter().zip(&grid) {
         for (h, label) in ["flat 16cy", "L2 6/40cy"].into_iter().enumerate() {
             let _ = writeln!(
@@ -193,7 +187,7 @@ pub fn two_level_hierarchy(out: &mut dyn Write, scale: RunScale) -> Result<(), E
 /// same author's conflict-miss fix) next to the direct-mapped L1, against
 /// the conflict-dominated benchmarks. How close does a 4-entry buffer get
 /// to the fully associative cache of Fig. 10?
-pub fn victim_buffer(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
+pub fn victim_buffer(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
     let _ = writeln!(
         out,
         "== Extension E-VICTIM: victim buffer vs associativity (mc=1) =="
@@ -212,7 +206,7 @@ pub fn victim_buffer(out: &mut dyn Write, scale: RunScale) -> Result<(), Exhibit
         SimConfig::baseline(HwConfig::Mc(1)).with_victim_buffer(16),
         SimConfig::baseline(HwConfig::Mc(1)).with_geometry(fa),
     ];
-    let grid = mcpi_grid(&programs_for(&benches, scale)?, &cfgs)?;
+    let grid = ctx.mcpi_grid(&programs_for(&benches, ctx.scale)?, &cfgs)?;
     for (bench, row) in benches.iter().zip(&grid) {
         let _ = writeln!(
             out,
@@ -232,9 +226,9 @@ pub fn victim_buffer(out: &mut dyn Write, scale: RunScale) -> Result<(), Exhibit
 }
 
 /// Runs all extensions.
-pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
-    nonblocking_write_allocate(out, scale)?;
-    associativity_vs_fetch_limits(out, scale)?;
-    two_level_hierarchy(out, scale)?;
-    victim_buffer(out, scale)
+pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
+    nonblocking_write_allocate(ctx, out)?;
+    associativity_vs_fetch_limits(ctx, out)?;
+    two_level_hierarchy(ctx, out)?;
+    victim_buffer(ctx, out)
 }

@@ -6,7 +6,7 @@
 //! rows/columns vary only the per-MSHR target-field structure:
 //! rows = sub-blocks per line, columns = misses per sub-block.
 
-use super::{engine, program, ExhibitError, RunScale};
+use super::{program, Ctx, ExhibitError};
 use nbl_core::geometry::CacheGeometry;
 use nbl_core::mshr::cost::MshrCostModel;
 use nbl_core::mshr::TargetPolicy;
@@ -33,8 +33,8 @@ fn policy_for(sub: u32, misses: u32) -> TargetPolicy {
 }
 
 /// Prints the Fig. 14 table.
-pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
-    let p = program("doduc", scale)?;
+pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
+    let p = program("doduc", ctx.scale)?;
     let geom = CacheGeometry::baseline();
     let costs = MshrCostModel::default();
 
@@ -52,7 +52,8 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
             .iter()
             .map(|(_, _, pol)| (&p, SimConfig::baseline(HwConfig::Targets(*pol)))),
     );
-    let results = engine()
+    let results = ctx
+        .engine
         .run_many(&jobs)
         .map_err(|e| ExhibitError::new("doduc @ Fig. 14 target layouts", e))?;
     let unrestricted = results[0].mcpi;

@@ -2,7 +2,7 @@
 //! curves (`fs=1`, `fs=2`) added to the usual seven — the paper's
 //! in-cache-MSHR-storage study.
 
-use super::{engine, program, write_csv, write_json, ExhibitError, RunScale, LATENCIES};
+use super::{program, Ctx, ExhibitError, LATENCIES};
 use nbl_sim::config::{HwConfig, SimConfig};
 use nbl_sim::report;
 use std::io::Write;
@@ -16,10 +16,11 @@ pub fn configs() -> Vec<HwConfig> {
 }
 
 /// Prints the Fig. 15 sweep.
-pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
-    let p = program("su2cor", scale)?;
+pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
+    let p = program("su2cor", ctx.scale)?;
     let base = SimConfig::baseline(HwConfig::NoRestrict);
-    let sweep = engine()
+    let sweep = ctx
+        .engine
         .latency_sweep(&p, &base, &configs(), &LATENCIES)
         .map_err(|e| ExhibitError::new("su2cor @ Fig. 15 latencies", e))?;
     let _ = writeln!(
@@ -28,6 +29,6 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
     );
     let _ = writeln!(out, "{}", report::mcpi_vs_latency_table(&sweep));
     let _ = writeln!(out, "{}", report::mcpi_vs_latency_chart(&sweep));
-    write_csv("fig15", &report::latency_sweep_csv(&sweep))?;
-    write_json("fig15", &report::latency_sweep_json(&sweep))
+    ctx.write_csv("fig15", &report::latency_sweep_csv(&sweep))?;
+    ctx.write_json("fig15", &report::latency_sweep_json(&sweep))
 }

@@ -5,7 +5,7 @@
 //! because overlap capacity exhausts.
 
 use super::paper::{FIG18, FIG18_PENALTIES};
-use super::{engine, program, write_csv, write_json, ExhibitError, RunScale};
+use super::{program, Ctx, ExhibitError};
 use nbl_sim::config::{HwConfig, SimConfig};
 use nbl_sim::report;
 use std::io::Write;
@@ -14,10 +14,11 @@ use std::io::Write;
 pub const PENALTIES: [u32; 6] = [4, 8, 16, 32, 64, 128];
 
 /// Prints the Fig. 18 table.
-pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
-    let p = program("tomcatv", scale)?;
+pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
+    let p = program("tomcatv", ctx.scale)?;
     let base = SimConfig::baseline(HwConfig::NoRestrict);
-    let sweep = engine()
+    let sweep = ctx
+        .engine
         .penalty_sweep(&p, &base, &HwConfig::baseline_seven(), &PENALTIES)
         .map_err(|e| ExhibitError::new("tomcatv @ Fig. 18 penalties", e))?;
     let _ = writeln!(
@@ -25,8 +26,8 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
         "== Figure 18: MCPI vs miss penalty for tomcatv (latency 10) =="
     );
     let _ = writeln!(out, "{}", report::mcpi_vs_penalty_table(&sweep));
-    write_csv("fig18", &report::penalty_sweep_csv(&sweep))?;
-    write_json("fig18", &report::penalty_sweep_json(&sweep))?;
+    ctx.write_csv("fig18", &report::penalty_sweep_csv(&sweep))?;
+    ctx.write_json("fig18", &report::penalty_sweep_json(&sweep))?;
     // The paper's numbers, for side-by-side comparison.
     let _ = writeln!(out, "paper's Fig. 18 (same layout):");
     let _ = write!(out, "{:>14}", "config");

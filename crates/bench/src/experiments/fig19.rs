@@ -10,9 +10,10 @@
 //! like the paper ("it was not convenient to compile the code for all
 //! values of the load latency").
 
-use super::{engine, programs_for, ExhibitError, RunScale, LATENCIES};
+use super::{programs_for, Ctx, ExhibitError, LATENCIES};
 use nbl_sim::config::{HwConfig, SimConfig};
 use nbl_sim::driver::{run_dual_tape, run_tape, DualRunResult};
+use nbl_sim::sweep::SweepEngine;
 use nbl_trace::ir::Program;
 use nbl_trace::tape::TraceTape;
 use std::io::Write;
@@ -45,31 +46,44 @@ pub fn snap_latency(scaled: f64) -> u32 {
 }
 
 /// `program`'s tape at `latency`, compiled and recorded through the
-/// shared engine's store.
-fn tape(program: &Program, latency: u32) -> Result<Arc<TraceTape>, String> {
-    let store = engine().store();
+/// engine's store.
+fn tape(engine: &SweepEngine, program: &Program, latency: u32) -> Result<Arc<TraceTape>, String> {
+    let store = engine.store();
     let compiled = store
         .get_or_compile(program, latency)
         .map_err(|e| e.to_string())?;
     Ok(store.get_or_record(&compiled))
 }
 
-/// The dual-issue run of `program` under `cfg`.
-fn dual(program: &Program, cfg: &SimConfig) -> Result<DualRunResult, String> {
-    let tape = tape(program, cfg.load_latency)?;
-    run_dual_tape(&program.name, &tape, cfg).map_err(|e| e.to_string())
+/// The dual-issue run of `program` under `cfg`, counted in the engine's
+/// telemetry.
+fn dual(engine: &SweepEngine, program: &Program, cfg: &SimConfig) -> Result<DualRunResult, String> {
+    let tape = tape(engine, program, cfg.load_latency)?;
+    let result = run_dual_tape(&program.name, &tape, cfg).map_err(|e| e.to_string())?;
+    // Two runs: the perfect-cache probe and the real pass.
+    engine
+        .telemetry()
+        .record_run(result.instructions, result.perfect_cycles);
+    engine
+        .telemetry()
+        .record_run(result.instructions, result.cycles);
+    Ok(result)
 }
 
 /// Prints the Fig. 19 comparison.
-pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
-    let programs = programs_for(&BENCHMARKS, scale)?;
-    let pool = engine().pool();
+pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
+    let programs = programs_for(&BENCHMARKS, ctx.scale)?;
+    let engine = &ctx.engine;
+    let pool = engine.pool();
 
     // Stage 1: each benchmark's IPC probe (perfect-cache dual run), in
     // parallel across benchmarks.
     let probes = pool
         .run(programs.len(), |b| {
-            dual(&programs[b], &SimConfig::baseline(HwConfig::NoRestrict))
+            let cfg = SimConfig::baseline(HwConfig::NoRestrict);
+            engine
+                .telemetry()
+                .track(|| dual(engine, &programs[b], &cfg))
         })
         .into_iter()
         .zip(BENCHMARKS)
@@ -81,22 +95,24 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
     let hws = configs();
     let nc = hws.len();
     let cells = pool
-        .run(programs.len() * nc, |idx| -> Result<(f64, f64), String> {
-            let (b, c) = (idx / nc, idx % nc);
-            let p = &programs[b];
-            let ipc = probes[b].ipc;
-            let hw = hws[c].clone();
-            let dual_mcpi = dual(p, &SimConfig::baseline(hw.clone()))?.mcpi;
-            let single_cfg = SimConfig::baseline(hw)
-                .at_latency(snap_latency(10.0 * ipc))
-                .with_penalty((16.0 * ipc).round().max(1.0) as u32);
-            let single_tape = tape(p, single_cfg.load_latency)?;
-            let single_mcpi = run_tape(&p.name, &single_tape, &single_cfg)
-                .map_err(|e| e.to_string())?
-                .mcpi;
-            // The scaled single-issue MCPI is per *scaled* cycle; mapping
-            // back to dual-issue cycles divides by the IPC.
-            Ok((dual_mcpi, single_mcpi / ipc))
+        .run(programs.len() * nc, |idx| {
+            engine.telemetry().track(|| -> Result<(f64, f64), String> {
+                let (b, c) = (idx / nc, idx % nc);
+                let p = &programs[b];
+                let ipc = probes[b].ipc;
+                let hw = hws[c].clone();
+                let dual_mcpi = dual(engine, p, &SimConfig::baseline(hw.clone()))?.mcpi;
+                let single_cfg = SimConfig::baseline(hw)
+                    .at_latency(snap_latency(10.0 * ipc))
+                    .with_penalty((16.0 * ipc).round().max(1.0) as u32);
+                let single_tape = tape(engine, p, single_cfg.load_latency)?;
+                let single =
+                    run_tape(&p.name, &single_tape, &single_cfg).map_err(|e| e.to_string())?;
+                engine.telemetry().record_result(&single_cfg, &single);
+                // The scaled single-issue MCPI is per *scaled* cycle; mapping
+                // back to dual-issue cycles divides by the IPC.
+                Ok((dual_mcpi, single.mcpi / ipc))
+            })
         })
         .into_iter()
         .enumerate()

@@ -6,7 +6,7 @@
 //! after scheduling and spill code differs per schedule; our compiler
 //! model reproduces the mechanism (see `nbl-sched`).
 
-use super::{engine, programs_for, ExhibitError, RunScale, LATENCIES};
+use super::{programs_for, Ctx, ExhibitError, LATENCIES};
 use nbl_trace::workloads::DETAILED_FIVE;
 use std::io::Write;
 
@@ -39,7 +39,7 @@ fn extremes(values: &[(u32, u64)]) -> Extremes {
 }
 
 /// Prints the Fig. 4 table for the five detailed benchmarks.
-pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
+pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
     let _ = writeln!(
         out,
         "== Figure 4: benchmark characteristics (counts in thousands) =="
@@ -69,12 +69,12 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
         .copied()
         .chain(std::iter::once("fpppp"))
         .collect();
-    let programs = programs_for(&names, scale)?;
+    let programs = programs_for(&names, ctx.scale)?;
     // All (benchmark, latency) compilations in parallel, through the
     // shared cache — the sweeps that follow in an `all` run reuse them.
     let nl = LATENCIES.len();
-    let mixes = engine().pool().run(programs.len() * nl, |idx| {
-        engine()
+    let mixes = ctx.engine.pool().run(programs.len() * nl, |idx| {
+        ctx.engine
             .cache()
             .get_or_compile(&programs[idx / nl], LATENCIES[idx % nl])
             .map(|c| c.dynamic_mix())

@@ -2,21 +2,22 @@
 //! scheduled load latency, measured on the unrestricted configuration
 //! with the baseline system.
 
-use super::{engine, program, ExhibitError, RunScale, LATENCIES};
+use super::{program, Ctx, ExhibitError, LATENCIES};
 use nbl_sim::config::{HwConfig, SimConfig};
 use nbl_sim::report;
 use nbl_trace::ir::Program;
 use std::io::Write;
 
 /// Prints the Fig. 6 table.
-pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
-    let p = program("doduc", scale)?;
+pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
+    let p = program("doduc", ctx.scale)?;
     let base = SimConfig::baseline(HwConfig::NoRestrict);
     let jobs: Vec<(&Program, SimConfig)> = LATENCIES
         .into_iter()
         .map(|lat| (&p, base.clone().at_latency(lat)))
         .collect();
-    let results = engine()
+    let results = ctx
+        .engine
         .run_many(&jobs)
         .map_err(|e| ExhibitError::new("doduc @ Fig. 6 latencies", e))?;
     let rows: Vec<(u32, &nbl_sim::driver::RunResult)> =

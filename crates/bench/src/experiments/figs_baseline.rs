@@ -3,39 +3,31 @@
 //! and 17 (doduc, 16-byte lines): baseline MCPI-vs-latency sweeps under
 //! the seven legend configurations.
 
-use super::{baseline_sweep, write_csv, write_json, ExhibitError, RunScale};
+use super::{Ctx, ExhibitError};
 use nbl_core::geometry::CacheGeometry;
 use nbl_mem::memory::PipelinedMemory;
 use nbl_sim::config::{HwConfig, SimConfig};
 use nbl_sim::report;
 use nbl_sim::sweep::LatencySweep;
 use std::io::Write;
-use std::sync::Mutex;
 
 fn baseline() -> SimConfig {
     SimConfig::baseline(HwConfig::NoRestrict)
 }
 
-/// The doduc baseline sweep behind Figs. 5, 7 and 8, computed once per
-/// scale and shared — the compile cache would make a rerun cheap to
-/// build, but not to simulate (42 cells).
-static DODUC_SWEEP: Mutex<Option<(RunScale, LatencySweep)>> = Mutex::new(None);
-
-fn doduc_sweep(scale: RunScale) -> Result<LatencySweep, ExhibitError> {
-    // A panic while the lock was held (a failed sibling exhibit) only
-    // poisons a cache of pure data — recover the inner value.
-    let mut slot = DODUC_SWEEP.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some((cached_scale, sweep)) = slot.as_ref() {
-        if *cached_scale == scale {
-            return Ok(sweep.clone());
-        }
+/// The doduc baseline sweep behind Figs. 5, 7 and 8, simulated once per
+/// invocation and shared through the context — the compile cache would
+/// make a rerun cheap to build, but not to simulate (42 cells).
+fn doduc_sweep(ctx: &Ctx) -> Result<&LatencySweep, ExhibitError> {
+    if let Some(sweep) = ctx.doduc_sweep.get() {
+        return Ok(sweep);
     }
-    let sweep = baseline_sweep("doduc", scale, &baseline())?;
-    *slot = Some((scale, sweep.clone()));
-    Ok(sweep)
+    let sweep = ctx.baseline_sweep("doduc", &baseline())?;
+    Ok(ctx.doduc_sweep.get_or_init(|| sweep))
 }
 
 fn emit_sweep(
+    ctx: &Ctx,
     out: &mut dyn Write,
     fig: &str,
     title: &str,
@@ -44,45 +36,58 @@ fn emit_sweep(
     let _ = writeln!(out, "== {title} ==");
     let _ = writeln!(out, "{}", report::mcpi_vs_latency_table(sweep));
     let _ = writeln!(out, "{}", report::mcpi_vs_latency_chart(sweep));
-    write_csv(fig, &report::latency_sweep_csv(sweep))?;
-    write_json(fig, &report::latency_sweep_json(sweep))
+    ctx.write_csv(fig, &report::latency_sweep_csv(sweep))?;
+    ctx.write_json(fig, &report::latency_sweep_json(sweep))
 }
 
 /// Fig. 5: baseline miss CPI for doduc (sweep shared with Figs. 7–8).
-pub fn fig5(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
-    let sweep = doduc_sweep(scale)?;
-    emit_sweep(out, "fig5", "Figure 5: baseline miss CPI for doduc", &sweep)
+pub fn fig5(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
+    let sweep = doduc_sweep(ctx)?;
+    emit_sweep(
+        ctx,
+        out,
+        "fig5",
+        "Figure 5: baseline miss CPI for doduc",
+        sweep,
+    )
 }
 
 /// Fig. 7: stall-cycle breakdown for doduc (share of MCPI from structural
 /// hazards).
-pub fn fig7(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
-    let sweep = doduc_sweep(scale)?;
+pub fn fig7(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
+    let sweep = doduc_sweep(ctx)?;
     let _ = writeln!(out, "== Figure 7: stall cycle breakdown for doduc ==");
-    let _ = writeln!(out, "{}", report::structural_share_table(&sweep));
+    let _ = writeln!(out, "{}", report::structural_share_table(sweep));
     Ok(())
 }
 
 /// Fig. 8: baseline miss rate for doduc (primary+secondary / secondary).
-pub fn fig8(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
-    let sweep = doduc_sweep(scale)?;
+pub fn fig8(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
+    let sweep = doduc_sweep(ctx)?;
     let _ = writeln!(out, "== Figure 8: baseline miss rate for doduc ==");
-    let _ = writeln!(out, "{}", report::miss_rate_table(&sweep));
+    let _ = writeln!(out, "{}", report::miss_rate_table(sweep));
     Ok(())
 }
 
 /// Fig. 9: baseline miss CPI for xlisp.
-pub fn fig9(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
-    let sweep = baseline_sweep("xlisp", scale, &baseline())?;
-    emit_sweep(out, "fig9", "Figure 9: baseline miss CPI for xlisp", &sweep)
+pub fn fig9(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
+    let sweep = ctx.baseline_sweep("xlisp", &baseline())?;
+    emit_sweep(
+        ctx,
+        out,
+        "fig9",
+        "Figure 9: baseline miss CPI for xlisp",
+        &sweep,
+    )
 }
 
 /// Fig. 10: miss CPI for xlisp with a fully associative 8 KB cache.
-pub fn fig10(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
+pub fn fig10(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
     let geom = CacheGeometry::fully_associative(8 * 1024, 32)
         .map_err(|e| ExhibitError::new("fig10 geometry", e))?;
-    let sweep = baseline_sweep("xlisp", scale, &baseline().with_geometry(geom))?;
+    let sweep = ctx.baseline_sweep("xlisp", &baseline().with_geometry(geom))?;
     emit_sweep(
+        ctx,
         out,
         "fig10",
         "Figure 10: miss CPI for xlisp, fully associative cache",
@@ -91,9 +96,10 @@ pub fn fig10(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
 }
 
 /// Fig. 11: baseline miss CPI for eqntott.
-pub fn fig11(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
-    let sweep = baseline_sweep("eqntott", scale, &baseline())?;
+pub fn fig11(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
+    let sweep = ctx.baseline_sweep("eqntott", &baseline())?;
     emit_sweep(
+        ctx,
         out,
         "fig11",
         "Figure 11: baseline miss CPI for eqntott",
@@ -102,9 +108,10 @@ pub fn fig11(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
 }
 
 /// Fig. 12: baseline miss CPI for tomcatv.
-pub fn fig12(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
-    let sweep = baseline_sweep("tomcatv", scale, &baseline())?;
+pub fn fig12(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
+    let sweep = ctx.baseline_sweep("tomcatv", &baseline())?;
     emit_sweep(
+        ctx,
         out,
         "fig12",
         "Figure 12: baseline miss CPI for tomcatv",
@@ -113,11 +120,12 @@ pub fn fig12(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
 }
 
 /// Fig. 16: miss CPI for doduc with a 64 KB data cache.
-pub fn fig16(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
+pub fn fig16(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
     let geom = CacheGeometry::direct_mapped(64 * 1024, 32)
         .map_err(|e| ExhibitError::new("fig16 geometry", e))?;
-    let sweep = baseline_sweep("doduc", scale, &baseline().with_geometry(geom))?;
+    let sweep = ctx.baseline_sweep("doduc", &baseline().with_geometry(geom))?;
     emit_sweep(
+        ctx,
         out,
         "fig16",
         "Figure 16: miss CPI for doduc, 64KB cache",
@@ -127,14 +135,15 @@ pub fn fig16(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
 
 /// Fig. 17: miss CPI for doduc with 16-byte lines (14-cycle penalty,
 /// per the paper's §5.2 pipelined memory).
-pub fn fig17(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
+pub fn fig17(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
     let geom = CacheGeometry::direct_mapped(8 * 1024, 16)
         .map_err(|e| ExhibitError::new("fig17 geometry", e))?;
     let base = baseline()
         .with_geometry(geom)
         .with_penalty(PipelinedMemory::penalty_for_line(16));
-    let sweep = baseline_sweep("doduc", scale, &base)?;
+    let sweep = ctx.baseline_sweep("doduc", &base)?;
     emit_sweep(
+        ctx,
         out,
         "fig17",
         "Figure 17: miss CPI for doduc, 16-byte lines",

@@ -5,10 +5,10 @@
 //! `Issued → Merged/Rejected → FetchLaunched → Filled → TargetsWoken`
 //! event stream exists to expose; no paper figure plots it directly.
 
-use super::{program, write_json, ExhibitError, RunScale};
+use super::{program, Ctx, ExhibitError};
 use nbl_sim::config::{HwConfig, SimConfig};
 use nbl_sim::report;
-use nbl_sim::run_program_traced;
+use nbl_sim::run_tape_traced;
 use std::io::Write;
 
 /// Ring capacity for the recorder: enough to keep the tail of the run
@@ -29,16 +29,24 @@ fn cells() -> (Vec<&'static str>, Vec<HwConfig>) {
 }
 
 /// Prints the miss-lifecycle tables and writes `misslife.json`.
-pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
+pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
     let (benchmarks, configs) = cells();
     let _ = writeln!(out, "== Miss lifecycle: traced transaction summaries ==");
     let mut json = String::from("[");
+    let (store, telemetry) = (ctx.engine.store(), ctx.engine.telemetry());
     for name in &benchmarks {
-        let p = program(name, scale)?;
+        let p = program(name, ctx.scale)?;
+        let compiled = store
+            .get_or_compile(&p, LATENCY)
+            .map_err(|e| ExhibitError::new(format!("{name} @ latency {LATENCY}"), e))?;
+        let tape = store.get_or_record(&compiled);
         for hw in &configs {
             let cfg = SimConfig::baseline(hw.clone()).at_latency(LATENCY);
-            let (_result, trace) = run_program_traced(&p, &cfg, RING)
+            let (result, trace) = telemetry
+                .track(|| run_tape_traced(name, &tape, &cfg, RING))
                 .map_err(|e| ExhibitError::new(format!("{name} @ {} traced", hw.label()), e))?;
+            telemetry.record_result(&cfg, &result);
+            telemetry.record_events(trace.stats.total_events());
             let label = hw.label();
             let _ = writeln!(
                 out,
@@ -52,5 +60,5 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
         }
     }
     json.push(']');
-    write_json("misslife", &json)
+    ctx.write_json("misslife", &json)
 }

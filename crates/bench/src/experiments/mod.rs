@@ -23,11 +23,13 @@ pub mod replsens;
 
 use nbl_sim::config::{HwConfig, SimConfig};
 use nbl_sim::sweep::{LatencySweep, SweepEngine};
+use nbl_sim::telemetry::TelemetrySnapshot;
+use nbl_sim::{CacheStats, TapeStats};
 use nbl_trace::ir::Program;
 use nbl_trace::workloads::{build, Scale};
 use std::io::Write;
-use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, OnceLock};
 
 /// One registered exhibit: CLI name, one-line description, entry point.
 pub struct Exhibit {
@@ -35,10 +37,11 @@ pub struct Exhibit {
     pub name: &'static str,
     /// One-line description shown by `figures list`.
     pub about: &'static str,
-    /// Entry point: prints tables to the writer at the given scale.
-    /// On failure the error names the grid cell or phase that broke, so
-    /// the harness can report it without aborting the other exhibits.
-    pub run: fn(&mut dyn Write, RunScale) -> Result<(), ExhibitError>,
+    /// Entry point: prints tables to the writer, running on the
+    /// invocation's context. On failure the error names the grid cell or
+    /// phase that broke, so the harness can report it without aborting
+    /// the other exhibits.
+    pub run: fn(&Ctx, &mut dyn Write) -> Result<(), ExhibitError>,
 }
 
 /// A failed exhibit: the grid cell or phase that broke, and why. The
@@ -197,57 +200,159 @@ pub const EXHIBITS: &[Exhibit] = &[
     },
 ];
 
-/// The process-wide parallel sweep engine every exhibit runs on: its pool
-/// fans `(benchmark, latency, configuration)` cells across threads
-/// (`NBL_THREADS` overrides the count) and its cache compiles each
-/// `(benchmark, latency)` pair at most once per invocation, however many
-/// exhibits replay it.
-pub fn engine() -> &'static SweepEngine {
-    SweepEngine::global()
+/// Everything one `figures` invocation runs on, built once from its
+/// flags and environment and passed to every exhibit.
+pub struct Ctx {
+    /// The sweep engine every exhibit runs on: its pool fans
+    /// `(benchmark, latency, configuration)` cells across threads
+    /// (`NBL_THREADS` overrides the count) and its store compiles and
+    /// records each `(benchmark, latency)` pair at most once per
+    /// invocation, however many exhibits replay it.
+    pub engine: SweepEngine,
+    /// Experiment sizing (`--quick`).
+    pub scale: RunScale,
+    /// `--csv DIR`: sweep-producing exhibits also write `<dir>/<name>.csv`.
+    pub csv_dir: Option<PathBuf>,
+    /// `--json DIR`: exhibits also write machine-readable
+    /// `<dir>/<name>.json` (typically `results/`).
+    pub json_dir: Option<PathBuf>,
+    /// The `bench` exhibit's options.
+    pub bench: BenchOpts,
+    /// The artifact-store directory (`--store` or `NBL_STORE_DIR`).
+    pub store_dir: Option<PathBuf>,
+    /// The doduc baseline sweep behind Figs. 5, 7 and 8, simulated once.
+    doduc_sweep: OnceLock<LatencySweep>,
+    /// Counters of engines that exhibits built for themselves.
+    retired: Mutex<Counters>,
 }
 
-static CSV_DIR: OnceLock<PathBuf> = OnceLock::new();
-static JSON_DIR: OnceLock<PathBuf> = OnceLock::new();
-
-/// Enables CSV side-output: each sweep-producing exhibit also writes
-/// `<dir>/<figN>.csv`. Call once, before running exhibits.
-pub fn enable_csv(dir: PathBuf) -> std::io::Result<()> {
-    std::fs::create_dir_all(&dir)?;
-    let _ = CSV_DIR.set(dir);
-    Ok(())
+/// What an engine counted: its simulated work and its memory-tier caches.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Counters {
+    /// Simulated work (runs, instructions, arena use).
+    pub work: TelemetrySnapshot,
+    /// Compile-cache counters.
+    pub compile: CacheStats,
+    /// Tape-cache counters.
+    pub tapes: TapeStats,
 }
 
-/// Writes `contents` to `<csv dir>/<name>.csv` if CSV output is enabled.
-pub fn write_csv(name: &str, contents: &str) -> Result<(), ExhibitError> {
-    if let Some(dir) = CSV_DIR.get() {
-        let path = dir.join(format!("{name}.csv"));
+impl Counters {
+    fn of(engine: &SweepEngine) -> Counters {
+        Counters {
+            work: engine.telemetry().snapshot(),
+            compile: engine.cache().stats(),
+            tapes: engine.tapes().stats(),
+        }
+    }
+
+    /// `self` plus the counters of `other`; the resident tape footprint
+    /// stays `self`'s.
+    fn plus(mut self, other: Counters) -> Counters {
+        self.work = self.work + other.work;
+        self.compile.hits += other.compile.hits;
+        self.compile.compiles += other.compile.compiles;
+        self.tapes.hits += other.tapes.hits;
+        self.tapes.records += other.tapes.records;
+        self.tapes.evictions += other.tapes.evictions;
+        self
+    }
+}
+
+impl Ctx {
+    /// A context on `engine` at `scale`, with no side outputs and default
+    /// `bench` options.
+    pub fn new(engine: SweepEngine, scale: RunScale) -> Ctx {
+        Ctx {
+            engine,
+            scale,
+            csv_dir: None,
+            json_dir: None,
+            bench: BenchOpts::default(),
+            store_dir: None,
+            doduc_sweep: OnceLock::new(),
+            retired: Mutex::new(Counters::default()),
+        }
+    }
+
+    /// Adds the counters of an engine an exhibit built for itself to this
+    /// invocation's totals.
+    pub fn retire(&self, engine: &SweepEngine) {
+        let mut retired = self.retired.lock().expect("retired counters lock poisoned");
+        *retired = retired.plus(Counters::of(engine));
+    }
+
+    /// The invocation's counters so far: the context's engine plus every
+    /// retired one.
+    pub fn counters(&self) -> Counters {
+        Counters::of(&self.engine)
+            .plus(*self.retired.lock().expect("retired counters lock poisoned"))
+    }
+
+    /// Writes `contents` to `<csv dir>/<name>.csv` if CSV output is on.
+    pub fn write_csv(&self, name: &str, contents: &str) -> Result<(), ExhibitError> {
+        write_side(self.csv_dir.as_deref(), name, "csv", contents)
+    }
+
+    /// Writes `contents` to `<json dir>/<name>.json` if JSON output is on.
+    pub fn write_json(&self, name: &str, contents: &str) -> Result<(), ExhibitError> {
+        write_side(self.json_dir.as_deref(), name, "json", contents)
+    }
+
+    /// Runs a `benchmarks × configs` grid on the engine and returns
+    /// `mcpi[bench][config]`, rows in benchmark order — the workhorse
+    /// behind the ablation and extension tables.
+    pub fn mcpi_grid(
+        &self,
+        programs: &[Program],
+        cfgs: &[SimConfig],
+    ) -> Result<Vec<Vec<f64>>, ExhibitError> {
+        let jobs: Vec<(&Program, SimConfig)> = programs
+            .iter()
+            .flat_map(|p| cfgs.iter().map(move |c| (p, c.clone())))
+            .collect();
+        let names: Vec<&str> = programs.iter().map(|p| p.name.as_str()).collect();
+        let results = self
+            .engine
+            .run_many(&jobs)
+            .map_err(|e| ExhibitError::new(format!("grid over {}", names.join(", ")), e))?;
+        Ok(results
+            .chunks(cfgs.len())
+            .map(|row| row.iter().map(|r| r.mcpi).collect())
+            .collect())
+    }
+
+    /// The full baseline latency sweep (7 configurations × 6 latencies)
+    /// for one benchmark — the data behind Figs. 5–12 and 15–17. The 42
+    /// cells run in parallel and the six compilations are shared with
+    /// every other exhibit.
+    pub fn baseline_sweep(
+        &self,
+        name: &str,
+        base: &SimConfig,
+    ) -> Result<LatencySweep, ExhibitError> {
+        let p = program(name, self.scale)?;
+        self.engine
+            .latency_sweep(&p, base, &HwConfig::baseline_seven(), &LATENCIES)
+            .map_err(|e| ExhibitError::new(format!("{name} baseline latency sweep"), e))
+    }
+}
+
+fn write_side(
+    dir: Option<&Path>,
+    name: &str,
+    ext: &str,
+    contents: &str,
+) -> Result<(), ExhibitError> {
+    if let Some(dir) = dir {
+        let path = dir.join(format!("{name}.{ext}"));
         std::fs::write(&path, contents)
             .map_err(|e| ExhibitError::new(format!("writing {}", path.display()), e))?;
     }
     Ok(())
 }
 
-/// Enables JSON side-output: each sweep-producing exhibit also writes
-/// `<dir>/<figN>.json` (machine-readable results, typically `results/`).
-/// Call once, before running exhibits.
-pub fn enable_json(dir: PathBuf) -> std::io::Result<()> {
-    std::fs::create_dir_all(&dir)?;
-    let _ = JSON_DIR.set(dir);
-    Ok(())
-}
-
-/// Writes `contents` to `<json dir>/<name>.json` if JSON output is enabled.
-pub fn write_json(name: &str, contents: &str) -> Result<(), ExhibitError> {
-    if let Some(dir) = JSON_DIR.get() {
-        let path = dir.join(format!("{name}.json"));
-        std::fs::write(&path, contents)
-            .map_err(|e| ExhibitError::new(format!("writing {}", path.display()), e))?;
-    }
-    Ok(())
-}
-
-/// Command-line knobs for the `bench` exhibit, set once before exhibits
-/// run (mirrors [`enable_csv`]/[`enable_json`]).
+/// Command-line knobs for the `bench` exhibit.
 #[derive(Debug, Clone)]
 pub struct BenchOpts {
     /// Best-of-N repetitions for each repeatable timed phase.
@@ -258,20 +363,14 @@ pub struct BenchOpts {
     pub date: String,
 }
 
-static BENCH_OPTS: OnceLock<BenchOpts> = OnceLock::new();
-
-/// Registers the `bench` exhibit's options. Call once, before exhibits.
-pub fn set_bench_opts(opts: BenchOpts) {
-    let _ = BENCH_OPTS.set(opts);
-}
-
-/// The `bench` options in effect: whatever [`set_bench_opts`] installed,
-/// else best-of-2 with the date from `NBL_BENCH_DATE` (or `"unknown"`).
-pub fn bench_opts() -> BenchOpts {
-    BENCH_OPTS.get().cloned().unwrap_or_else(|| BenchOpts {
-        reps: 2,
-        date: std::env::var("NBL_BENCH_DATE").unwrap_or_else(|_| "unknown".to_string()),
-    })
+impl Default for BenchOpts {
+    /// Best-of-2, dated from `NBL_BENCH_DATE` (or `"unknown"`).
+    fn default() -> BenchOpts {
+        BenchOpts {
+            reps: 2,
+            date: std::env::var("NBL_BENCH_DATE").unwrap_or_else(|_| "unknown".to_string()),
+        }
+    }
 }
 
 /// The load latencies the paper sweeps.
@@ -307,37 +406,4 @@ pub fn program(name: &str, scale: RunScale) -> Result<Program, ExhibitError> {
 /// Builds several benchmark programs.
 pub fn programs_for(names: &[&str], scale: RunScale) -> Result<Vec<Program>, ExhibitError> {
     names.iter().map(|name| program(name, scale)).collect()
-}
-
-/// Runs a `benchmarks × configs` grid on the shared engine and returns
-/// `mcpi[bench][config]`, rows in benchmark order — the workhorse behind
-/// the ablation and extension tables.
-pub fn mcpi_grid(programs: &[Program], cfgs: &[SimConfig]) -> Result<Vec<Vec<f64>>, ExhibitError> {
-    let jobs: Vec<(&Program, SimConfig)> = programs
-        .iter()
-        .flat_map(|p| cfgs.iter().map(move |c| (p, c.clone())))
-        .collect();
-    let names: Vec<&str> = programs.iter().map(|p| p.name.as_str()).collect();
-    let results = engine()
-        .run_many(&jobs)
-        .map_err(|e| ExhibitError::new(format!("grid over {}", names.join(", ")), e))?;
-    Ok(results
-        .chunks(cfgs.len())
-        .map(|row| row.iter().map(|r| r.mcpi).collect())
-        .collect())
-}
-
-/// The full baseline latency sweep (7 configurations × 6 latencies) for
-/// one benchmark — the data behind Figs. 5–12 and 15–17. Runs on the
-/// shared [`engine`], so the 42 cells execute in parallel and the six
-/// compilations are shared with every other exhibit.
-pub fn baseline_sweep(
-    name: &str,
-    scale: RunScale,
-    base: &SimConfig,
-) -> Result<LatencySweep, ExhibitError> {
-    let p = program(name, scale)?;
-    engine()
-        .latency_sweep(&p, base, &HwConfig::baseline_seven(), &LATENCIES)
-        .map_err(|e| ExhibitError::new(format!("{name} baseline latency sweep"), e))
 }

@@ -9,7 +9,7 @@
 //! where the replaying pipeline's stall cycles go, per cause. No paper
 //! figure plots it.
 
-use super::{engine, program, write_csv, write_json, ExhibitError, RunScale, LATENCIES};
+use super::{program, Ctx, ExhibitError, LATENCIES};
 use nbl_sim::config::{HwConfig, ProcessorKind, SimConfig};
 use nbl_sim::report;
 use nbl_sim::sweep::ModelSweep;
@@ -40,11 +40,12 @@ fn ranking(sweep: &ModelSweep, model: &str) -> Option<Vec<String>> {
 /// Prints the per-configuration model tables, the per-cause replay
 /// attribution, and the best-first config ranking under each pipeline;
 /// writes `replaymodel.csv` / `replaymodel.json`. Deterministic.
-pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
+pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
     let base = SimConfig::baseline(HwConfig::NoRestrict);
-    let p = program(BENCHMARK, scale)?;
+    let p = program(BENCHMARK, ctx.scale)?;
     let models = ProcessorKind::ALL;
-    let sweep = engine()
+    let sweep = ctx
+        .engine
         .model_sweep(&p, &base, &models, &configs(), &LATENCIES)
         .map_err(|e| ExhibitError::new(format!("{BENCHMARK} model sweep"), e))?;
     let _ = writeln!(
@@ -64,6 +65,6 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
         }
     }
     let _ = writeln!(out);
-    write_csv("replaymodel", &report::model_sweep_csv(&sweep))?;
-    write_json("replaymodel", &report::model_sweep_json(&sweep))
+    ctx.write_csv("replaymodel", &report::model_sweep_csv(&sweep))?;
+    ctx.write_json("replaymodel", &report::model_sweep_json(&sweep))
 }

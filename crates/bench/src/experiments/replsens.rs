@@ -6,7 +6,7 @@
 //! MSHR tradeoffs shift when the set-associative victim choice is in
 //! play. No paper figure plots it directly.
 
-use super::{engine, program, write_csv, write_json, ExhibitError, RunScale, LATENCIES};
+use super::{program, Ctx, ExhibitError, LATENCIES};
 use nbl_core::geometry::CacheGeometry;
 use nbl_core::tag_array::ReplacementKind;
 use nbl_sim::config::{HwConfig, SimConfig};
@@ -26,12 +26,13 @@ fn configs() -> Vec<HwConfig> {
 /// Prints the per-configuration policy tables and writes
 /// `replsens.csv` / `replsens.json`. Deterministic, including the
 /// random policy (fixed SplitMix64 seed).
-pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
+pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
     let geom = CacheGeometry::new(8 * 1024, 32, 4)
         .map_err(|e| ExhibitError::new("replsens geometry", e))?;
     let base = SimConfig::baseline(HwConfig::NoRestrict).with_geometry(geom);
-    let p = program(BENCHMARK, scale)?;
-    let sweep = engine()
+    let p = program(BENCHMARK, ctx.scale)?;
+    let sweep = ctx
+        .engine
         .replacement_sweep(&p, &base, &ReplacementKind::all(), &configs(), &LATENCIES)
         .map_err(|e| ExhibitError::new(format!("{BENCHMARK} replacement sweep"), e))?;
     let _ = writeln!(
@@ -39,6 +40,6 @@ pub fn run(out: &mut dyn Write, scale: RunScale) -> Result<(), ExhibitError> {
         "== Replacement-policy sensitivity: {BENCHMARK}, 4-way 8KB cache =="
     );
     let _ = writeln!(out, "{}", report::replacement_mcpi_table(&sweep));
-    write_csv("replsens", &report::replacement_sweep_csv(&sweep))?;
-    write_json("replsens", &report::replacement_sweep_json(&sweep))
+    ctx.write_csv("replsens", &report::replacement_sweep_csv(&sweep))?;
+    ctx.write_json("replsens", &report::replacement_sweep_json(&sweep))
 }

@@ -12,17 +12,23 @@
 //!
 //! Exhibits live in the registry table [`experiments::EXHIBITS`];
 //! `list`, `help`, `all`, and argument validation all derive from it, so
-//! adding an exhibit is one table entry. Simulation cells run on the
-//! parallel sweep engine (worker count from `NBL_THREADS` or the
-//! machine); every exhibit is timed, and a throughput summary (wall
-//! clock, simulated instructions per second, compile-cache counters)
+//! adding an exhibit is one table entry. The flags and environment are
+//! read once into one [`experiments::Ctx`] — the parallel sweep engine
+//! (worker count from `NBL_THREADS` or the machine) and its store, the
+//! scale, side-output directories and `bench` options — which every
+//! exhibit runs on. Every exhibit is timed, and a throughput summary
+//! (wall clock, simulated instructions per second, cache counters)
 //! prints at the end of the run.
 
 mod experiments;
 
-use experiments::{RunScale, EXHIBITS};
-use nbl_sim::telemetry::{Telemetry, TelemetrySnapshot};
+use experiments::{Ctx, RunScale, EXHIBITS};
+use nbl_sim::pool::available_threads;
+use nbl_sim::store::{ArtifactStore, StoreSettings};
+use nbl_sim::sweep::SweepEngine;
+use nbl_sim::telemetry::TelemetrySnapshot;
 use std::io::Write;
+use std::path::PathBuf;
 use std::time::Instant;
 
 const USAGE: &str = "usage: figures <exhibit ... | all | list> [--quick] [--out FILE] [--csv DIR] [--json DIR]\n                                                  [--bench-reps N] [--bench-date ISO]\n                                                  [--store DIR] [--incremental]\n       run `figures list` for the registered exhibits";
@@ -35,20 +41,20 @@ struct Timing {
 }
 
 /// Runs one exhibit, recording its wall clock and simulated-work delta.
-fn timed<T>(timings: &mut Vec<Timing>, name: &'static str, f: impl FnOnce() -> T) -> T {
-    let before = Telemetry::global().snapshot();
+fn timed<T>(ctx: &Ctx, timings: &mut Vec<Timing>, name: &'static str, f: impl FnOnce() -> T) -> T {
+    let before = ctx.counters().work;
     let t0 = Instant::now();
     let value = f();
     timings.push(Timing {
         name,
         wall: t0.elapsed().as_secs_f64(),
-        work: Telemetry::global().snapshot().since(before),
+        work: ctx.counters().work.since(before),
     });
     value
 }
 
-fn print_summary(out: &mut dyn Write, timings: &[Timing]) {
-    let threads = experiments::engine().pool().threads();
+fn print_summary(ctx: &Ctx, out: &mut dyn Write, timings: &[Timing]) {
+    let threads = ctx.engine.pool().threads();
     let _ = writeln!(
         out,
         "== Throughput summary ({threads} worker thread{}) ==",
@@ -72,16 +78,7 @@ fn print_summary(out: &mut dyn Write, timings: &[Timing]) {
             t.work.inst_per_sec(t.wall) / 1e6,
         );
         total_wall += t.wall;
-        total = TelemetrySnapshot {
-            instructions: total.instructions + t.work.instructions,
-            cycles: total.cycles + t.work.cycles,
-            runs: total.runs + t.work.runs,
-            events: total.events + t.work.events,
-            policy_runs: total.policy_runs + t.work.policy_runs,
-            model_runs: total.model_runs + t.work.model_runs,
-            arena_builds: total.arena_builds + t.work.arena_builds,
-            arena_reuses: total.arena_reuses + t.work.arena_reuses,
-        };
+        total = total + t.work;
     }
     let _ = writeln!(
         out,
@@ -92,13 +89,14 @@ fn print_summary(out: &mut dyn Write, timings: &[Timing]) {
         total.instructions as f64 / 1e6,
         total.inst_per_sec(total_wall) / 1e6,
     );
-    let cache = experiments::engine().cache().stats();
+    let counters = ctx.counters();
+    let cache = counters.compile;
     let _ = writeln!(
         out,
         "compile cache: {} compilations, {} reuses (each (benchmark, latency) pair compiled once)",
         cache.compiles, cache.hits
     );
-    let tapes = experiments::engine().tapes().stats();
+    let tapes = counters.tapes;
     let _ = writeln!(
         out,
         "tape cache: {} recordings, {} replays, {} evictions ({:.2} MiB resident)",
@@ -107,7 +105,7 @@ fn print_summary(out: &mut dyn Write, timings: &[Timing]) {
         tapes.evictions,
         tapes.resident_bytes as f64 / (1024.0 * 1024.0)
     );
-    if let Some(disk) = experiments::engine().store().disk() {
+    if let Some(disk) = ctx.engine.store().disk() {
         let s = disk.stats();
         let _ = writeln!(
             out,
@@ -173,6 +171,8 @@ fn main() {
     let mut bench_date: Option<String> = None;
     let mut store_dir: Option<String> = None;
     let mut incremental = false;
+    let mut csv_dir: Option<PathBuf> = None;
+    let mut json_dir: Option<PathBuf> = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -206,20 +206,22 @@ fn main() {
                     eprintln!("--csv needs a directory");
                     std::process::exit(2);
                 };
-                if let Err(e) = experiments::enable_csv(dir.clone().into()) {
+                if let Err(e) = std::fs::create_dir_all(&dir) {
                     eprintln!("cannot create csv directory {dir}: {e}");
                     std::process::exit(2);
                 }
+                csv_dir = Some(dir.into());
             }
             "--json" => {
                 let Some(dir) = it.next() else {
                     eprintln!("--json needs a directory");
                     std::process::exit(2);
                 };
-                if let Err(e) = experiments::enable_json(dir.clone().into()) {
+                if let Err(e) = std::fs::create_dir_all(&dir) {
                     eprintln!("cannot create json directory {dir}: {e}");
                     std::process::exit(2);
                 }
+                json_dir = Some(dir.into());
             }
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -248,21 +250,28 @@ fn main() {
     }
     let all = wanted.iter().any(|w| w == "all");
     let want = |name: &str| all || wanted.iter().any(|w| w == name);
-    if bench_reps.is_some() || bench_date.is_some() {
-        let defaults = experiments::bench_opts();
-        experiments::set_bench_opts(experiments::BenchOpts {
-            reps: bench_reps.unwrap_or(defaults.reps),
-            date: bench_date.unwrap_or(defaults.date),
-        });
+    // Flags override the NBL_STORE_DIR / NBL_INCREMENTAL environment.
+    let env = StoreSettings::from_env();
+    let store = StoreSettings {
+        dir: store_dir.map(Into::into).or(env.dir),
+        incremental: incremental || env.incremental,
+    };
+    let artifacts = match &store.dir {
+        Some(dir) => ArtifactStore::with_disk(dir, store.incremental),
+        None => ArtifactStore::in_memory(),
+    };
+    let mut ctx = Ctx::new(
+        SweepEngine::with_store(available_threads(), artifacts),
+        scale,
+    );
+    ctx.csv_dir = csv_dir;
+    ctx.json_dir = json_dir;
+    ctx.store_dir = store.dir;
+    if let Some(reps) = bench_reps {
+        ctx.bench.reps = reps;
     }
-    if store_dir.is_some() || incremental {
-        // Flags override the NBL_STORE_DIR / NBL_INCREMENTAL environment;
-        // must be pinned before any exhibit builds the global engine.
-        let env = nbl_sim::StoreSettings::from_env();
-        nbl_sim::configure_store(nbl_sim::StoreSettings {
-            dir: store_dir.map(Into::into).or(env.dir),
-            incremental: incremental || env.incremental,
-        });
+    if let Some(date) = bench_date {
+        ctx.bench.date = date;
     }
 
     let mut sinks: Vec<Box<dyn Write>> = vec![Box::new(std::io::stdout())];
@@ -280,13 +289,13 @@ fn main() {
     let mut failures: Vec<(&'static str, experiments::ExhibitError)> = Vec::new();
     for e in EXHIBITS {
         if want(e.name) {
-            if let Err(err) = timed(&mut timings, e.name, || (e.run)(&mut out, scale)) {
+            if let Err(err) = timed(&ctx, &mut timings, e.name, || (e.run)(&ctx, &mut out)) {
                 eprintln!("exhibit {} failed {err}", e.name);
                 failures.push((e.name, err));
             }
         }
     }
-    print_summary(&mut out, &timings);
+    print_summary(&ctx, &mut out, &timings);
     if !failures.is_empty() {
         eprintln!("{} exhibit(s) failed:", failures.len());
         for (name, err) in &failures {

@@ -17,7 +17,7 @@ use crate::{OracleConfig, OracleError};
 use nbl_core::types::Addr;
 use nbl_mem::AccessOutcome;
 use nbl_sim::config::SimConfig;
-use nbl_sim::driver::run_tape_probed;
+use nbl_sim::driver::{run_tape_probed, RunResult};
 use nbl_trace::TraceTape;
 
 /// A disagreement between the oracle and the simulator for one access.
@@ -127,6 +127,97 @@ pub struct CellReport {
     pub coverage: Coverage,
     /// Cross-check disagreements (empty on a sound pass).
     pub violations: Vec<CrossCheckViolation>,
+    /// The probed replay's result (for callers that count simulated
+    /// work).
+    pub run: RunResult,
+}
+
+/// Header of the per-cell coverage CSV, in [`CellReport::csv_row`] order.
+pub const CSV_HEADER: &str =
+    "bench,geometry,policy,hw,accesses,must_hit,must_miss,unknown,violations\n";
+
+fn pct(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        100.0 * part as f64 / whole as f64
+    }
+}
+
+/// The fixed-width table header matching [`CellReport::table_row`].
+pub fn table_header(hw_width: usize) -> String {
+    format!(
+        "{:<9} {:<12} {:<7} {:<hw_width$} {:>9} {:>7} {:>7} {:>7} {:>5}",
+        "bench", "geometry", "policy", "hw", "accesses", "hit%", "miss%", "unk%", "viol"
+    )
+}
+
+impl CellReport {
+    /// One fixed-width table row (coverage as percentages);
+    /// `hw_width` sizes the hardware column.
+    pub fn table_row(&self, hw_width: usize) -> String {
+        let c = &self.coverage;
+        format!(
+            "{:<9} {:<12} {:<7} {:<hw_width$} {:>9} {:>6.1} {:>6.1} {:>6.1} {:>6}",
+            self.benchmark,
+            self.geometry,
+            self.policy,
+            self.hw,
+            c.accesses,
+            pct(c.must_hit, c.accesses),
+            pct(c.must_miss, c.accesses),
+            pct(c.unknown, c.accesses),
+            self.violations.len()
+        )
+    }
+
+    /// One newline-terminated CSV row under [`CSV_HEADER`].
+    pub fn csv_row(&self) -> String {
+        let c = &self.coverage;
+        format!(
+            "{},{},{},{},{},{},{},{},{}\n",
+            self.benchmark,
+            self.geometry,
+            self.policy,
+            self.hw,
+            c.accesses,
+            c.must_hit,
+            c.must_miss,
+            c.unknown,
+            self.violations.len()
+        )
+    }
+
+    /// One JSON object with the same fields as [`Self::csv_row`].
+    pub fn json_row(&self) -> String {
+        let c = &self.coverage;
+        format!(
+            "{{\"bench\": \"{}\", \"geometry\": \"{}\", \"policy\": \"{}\", \
+             \"hw\": \"{}\", \"accesses\": {}, \"must_hit\": {}, \
+             \"must_miss\": {}, \"unknown\": {}, \"violations\": {}}}",
+            self.benchmark,
+            self.geometry,
+            self.policy,
+            self.hw,
+            c.accesses,
+            c.must_hit,
+            c.must_miss,
+            c.unknown,
+            self.violations.len()
+        )
+    }
+}
+
+/// The coverage document for `reports`: cell and violation totals plus
+/// one [`CellReport::json_row`] per cell.
+pub fn coverage_json(reports: &[CellReport]) -> String {
+    let rows: Vec<String> = reports.iter().map(CellReport::json_row).collect();
+    let violations: usize = reports.iter().map(|r| r.violations.len()).sum();
+    format!(
+        "{{\n  \"exhibit\": \"oracle\",\n  \"cells\": {},\n  \"violations\": {violations},\n  \"rows\": [\n    {}\n  ]\n}}\n",
+        rows.len(),
+        rows.join(",\n    ")
+    )
 }
 
 /// Analyzes `tape` under `cfg` and cross-validates against a probed
@@ -143,7 +234,7 @@ pub fn check_cell(
 ) -> Result<CellReport, OracleError> {
     let ocfg = OracleConfig::from_sim(cfg)?;
     let analysis = analyze_tape(tape, &ocfg);
-    let (_, outcomes) =
+    let (run, outcomes) =
         run_tape_probed(benchmark, tape, cfg).map_err(|e| OracleError::Engine(e.to_string()))?;
     let violations = cross_check(tape, &analysis.classes, &outcomes);
     Ok(CellReport {
@@ -162,5 +253,6 @@ pub fn check_cell(
         hw: cfg.hw.label(),
         coverage: analysis.coverage,
         violations,
+        run,
     })
 }

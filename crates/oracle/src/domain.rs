@@ -75,17 +75,6 @@ pub struct Coverage {
     pub unknown: u64,
 }
 
-impl Coverage {
-    /// Fraction of accesses classified (must-hit + must-miss), in
-    /// `[0, 1]`; `1.0` for an empty cell.
-    pub fn classified_fraction(&self) -> f64 {
-        if self.accesses == 0 {
-            return 1.0;
-        }
-        (self.must_hit + self.must_miss) as f64 / self.accesses as f64
-    }
-}
-
 /// Result of one analyzer walk: per-access verdicts (indexed in
 /// [`TraceTape::mem_ops`] order) plus the aggregate counts.
 #[derive(Debug, Clone)]

@@ -13,7 +13,7 @@
 //! domain ([`analyze_tape`], one [`Classification`] per access) →
 //! cross-check ([`cross_check`] against the simulator's per-access
 //! [`AccessOutcome`](nbl_mem::AccessOutcome) tap) → report
-//! ([`CellReport`], persisted verdicts in [`store`]).
+//! ([`CellReport`]).
 //!
 //! Soundness is the product: a [`Classification::MustHit`] access that
 //! the real [`MemorySystem`](nbl_mem::MemorySystem) misses — or a
@@ -23,14 +23,15 @@
 
 pub mod check;
 pub mod domain;
-pub mod store;
 
 #[cfg(all(test, feature = "oracle-prop"))]
 mod prop;
 
-pub use check::{check_cell, cross_check, CellReport, CrossCheckViolation};
+pub use check::{
+    check_cell, coverage_json, cross_check, table_header, CellReport, CrossCheckViolation,
+    CSV_HEADER,
+};
 pub use domain::{analyze_tape, Classification, Coverage, OracleAnalysis};
-pub use store::{CellVerdict, OracleStore, ORACLE_FORMAT_VERSION};
 
 use nbl_core::geometry::CacheGeometry;
 use nbl_core::tag_array::ReplacementKind;

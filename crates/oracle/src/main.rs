@@ -9,18 +9,14 @@
 //!
 //! * `--deny` — exit nonzero on any cross-check violation (CI mode);
 //! * `--csv PATH` — write per-cell coverage rows;
-//! * `--json PATH` — write the machine-readable report;
-//! * `--store DIR` — persist / reuse verdicts keyed by
-//!   `(format version, tape fingerprint, geometry, policy, window,
-//!   hw config)`.
+//! * `--json PATH` — write the machine-readable report.
 
 use nbl_core::geometry::CacheGeometry;
 use nbl_core::tag_array::ReplacementKind;
-use nbl_oracle::{check_cell, CellReport, CellVerdict, OracleConfig, OracleError, OracleStore};
+use nbl_oracle::{check_cell, coverage_json, table_header, CellReport, OracleError, CSV_HEADER};
 use nbl_sim::config::{HwConfig, SimConfig};
-use nbl_sim::store::{compiled_fingerprint, ArtifactStore};
+use nbl_sim::store::ArtifactStore;
 use nbl_trace::workloads::{self, Scale};
-use std::io::Write as _;
 use std::process::ExitCode;
 
 /// Benchmarks of the golden grid (one integer-heavy, two float-heavy —
@@ -31,7 +27,6 @@ struct Args {
     deny: bool,
     csv: Option<String>,
     json: Option<String>,
-    store: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -39,7 +34,6 @@ fn parse_args() -> Result<Args, String> {
         deny: false,
         csv: None,
         json: None,
-        store: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -47,10 +41,9 @@ fn parse_args() -> Result<Args, String> {
             "--deny" => args.deny = true,
             "--csv" => args.csv = Some(it.next().ok_or("--csv needs a path")?),
             "--json" => args.json = Some(it.next().ok_or("--json needs a path")?),
-            "--store" => args.store = Some(it.next().ok_or("--store needs a directory")?),
             "--help" | "-h" => {
                 println!(
-                    "nbl-oracle [--deny] [--csv PATH] [--json PATH] [--store DIR]\n\
+                    "nbl-oracle [--deny] [--csv PATH] [--json PATH]\n\
                      static must-hit/may-miss cache oracle, cross-validated against the simulator"
                 );
                 std::process::exit(0);
@@ -77,17 +70,9 @@ fn hw_configs() -> Vec<HwConfig> {
 
 fn run() -> Result<ExitCode, String> {
     let args = parse_args()?;
-    let store = match &args.store {
-        Some(dir) => Some(
-            OracleStore::open(std::path::Path::new(dir))
-                .map_err(|e| format!("cannot open --store {dir}: {e}"))?,
-        ),
-        None => None,
-    };
     let artifacts = ArtifactStore::in_memory();
-    let mut reports: Vec<(CellReport, bool)> = Vec::new();
+    let mut reports: Vec<CellReport> = Vec::new();
     let mut total_violations = 0u64;
-    let mut cached_cells = 0u64;
 
     for bench in BENCHMARKS {
         let program = workloads::build(bench, Scale::quick())
@@ -97,47 +82,13 @@ fn run() -> Result<ExitCode, String> {
             .get_or_compile(&program, base.load_latency)
             .map_err(|e| OracleError::Compile(e.to_string()).to_string())?;
         let tape = artifacts.get_or_record(&compiled);
-        let tape_fp = compiled_fingerprint(&compiled);
         for geometry in geometries() {
             for policy in ReplacementKind::all() {
                 for hw in hw_configs() {
                     let cfg = SimConfig::baseline(hw.clone())
                         .with_geometry(geometry)
                         .with_replacement(policy);
-                    let ocfg = OracleConfig::from_sim(&cfg).map_err(|e| e.to_string())?;
-                    let key = OracleStore::key(tape_fp, &ocfg, &hw.label());
-                    let cached = store.as_ref().and_then(|s| s.load(key));
-                    let (report, from_store) = match cached {
-                        Some(verdict) if verdict.violations == 0 => {
-                            cached_cells += 1;
-                            (
-                                CellReport {
-                                    benchmark: bench.to_string(),
-                                    geometry: geometry_label(&geometry),
-                                    policy: policy.label(),
-                                    hw: hw.label(),
-                                    coverage: verdict.coverage,
-                                    violations: Vec::new(),
-                                },
-                                true,
-                            )
-                        }
-                        _ => {
-                            let report =
-                                check_cell(bench, &tape, &cfg).map_err(|e| e.to_string())?;
-                            if report.violations.is_empty() {
-                                if let Some(s) = &store {
-                                    let verdict = CellVerdict {
-                                        coverage: report.coverage,
-                                        violations: 0,
-                                    };
-                                    s.save(key, &verdict)
-                                        .map_err(|e| format!("verdict save failed: {e}"))?;
-                                }
-                            }
-                            (report, false)
-                        }
-                    };
+                    let report = check_cell(bench, &tape, &cfg).map_err(|e| e.to_string())?;
                     total_violations += report.violations.len() as u64;
                     for v in report.violations.iter().take(5) {
                         eprintln!(
@@ -145,18 +96,20 @@ fn run() -> Result<ExitCode, String> {
                             report.geometry, report.policy, report.hw
                         );
                     }
-                    reports.push((report, from_store));
+                    reports.push(report);
                 }
             }
         }
     }
 
-    print_table(&reports, cached_cells);
+    print_table(&reports);
     if let Some(path) = &args.csv {
-        write_csv(path, &reports).map_err(|e| format!("csv write failed: {e}"))?;
+        let csv: String = reports.iter().map(CellReport::csv_row).collect();
+        std::fs::write(path, format!("{CSV_HEADER}{csv}"))
+            .map_err(|e| format!("csv write failed: {e}"))?;
     }
     if let Some(path) = &args.json {
-        write_json(path, &reports, total_violations)
+        std::fs::write(path, coverage_json(&reports))
             .map_err(|e| format!("json write failed: {e}"))?;
     }
     if total_violations > 0 {
@@ -168,107 +121,13 @@ fn run() -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn geometry_label(g: &CacheGeometry) -> String {
-    format!(
-        "{}KB/{}B {}",
-        g.size_bytes() / 1024,
-        g.line_bytes(),
-        if g.ways() == 1 {
-            "dm".to_string()
-        } else {
-            format!("{}-way", g.ways())
-        }
-    )
-}
-
-fn pct(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        100.0 * part as f64 / whole as f64
+fn print_table(reports: &[CellReport]) {
+    println!("{}", table_header(12));
+    for r in reports {
+        println!("{}", r.table_row(12));
     }
-}
-
-fn print_table(reports: &[(CellReport, bool)], cached: u64) {
-    println!(
-        "{:<9} {:<12} {:<7} {:<12} {:>9} {:>7} {:>7} {:>7} {:>5}",
-        "bench", "geometry", "policy", "hw", "accesses", "hit%", "miss%", "unk%", "viol"
-    );
-    for (r, _) in reports {
-        let c = &r.coverage;
-        println!(
-            "{:<9} {:<12} {:<7} {:<12} {:>9} {:>6.1} {:>6.1} {:>6.1} {:>6}",
-            r.benchmark,
-            r.geometry,
-            r.policy,
-            r.hw,
-            c.accesses,
-            pct(c.must_hit, c.accesses),
-            pct(c.must_miss, c.accesses),
-            pct(c.unknown, c.accesses),
-            r.violations.len()
-        );
-    }
-    let cells = reports.len();
-    let violations: usize = reports.iter().map(|(r, _)| r.violations.len()).sum();
-    println!("{cells} cells, {violations} violation(s), {cached} from verdict store");
-}
-
-fn write_csv(path: &str, reports: &[(CellReport, bool)]) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("bench,geometry,policy,hw,accesses,must_hit,must_miss,unknown,violations\n");
-    for (r, _) in reports {
-        let c = &r.coverage;
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{}\n",
-            r.benchmark,
-            r.geometry,
-            r.policy,
-            r.hw,
-            c.accesses,
-            c.must_hit,
-            c.must_miss,
-            c.unknown,
-            r.violations.len()
-        ));
-    }
-    std::fs::write(path, out)
-}
-
-fn write_json(
-    path: &str,
-    reports: &[(CellReport, bool)],
-    total_violations: u64,
-) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{")?;
-    writeln!(f, "  \"exhibit\": \"oracle\",")?;
-    writeln!(f, "  \"cells\": {},", reports.len())?;
-    writeln!(f, "  \"violations\": {total_violations},")?;
-    writeln!(f, "  \"rows\": [")?;
-    for (i, (r, from_store)) in reports.iter().enumerate() {
-        let c = &r.coverage;
-        let comma = if i + 1 < reports.len() { "," } else { "" };
-        writeln!(
-            f,
-            "    {{\"bench\": \"{}\", \"geometry\": \"{}\", \"policy\": \"{}\", \
-             \"hw\": \"{}\", \"accesses\": {}, \"must_hit\": {}, \"must_miss\": {}, \
-             \"unknown\": {}, \"violations\": {}, \"from_store\": {}}}{comma}",
-            r.benchmark,
-            r.geometry,
-            r.policy,
-            r.hw,
-            c.accesses,
-            c.must_hit,
-            c.must_miss,
-            c.unknown,
-            r.violations.len(),
-            from_store
-        )?;
-    }
-    writeln!(f, "  ]")?;
-    writeln!(f, "}}")?;
-    Ok(())
+    let violations: usize = reports.iter().map(|r| r.violations.len()).sum();
+    println!("{} cells, {violations} violation(s)", reports.len());
 }
 
 fn main() -> ExitCode {

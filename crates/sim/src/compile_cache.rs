@@ -1,8 +1,10 @@
 //! A shared compile cache: each `(benchmark, latency)` pair is compiled
-//! exactly once per process and the
+//! exactly once per cache and the
 //! [`CompiledProgram`](nbl_trace::machine::CompiledProgram) shared by
 //! reference, mirroring how the paper compiles one binary per latency and
-//! replays it under every hardware configuration.
+//! replays it under every hardware configuration. Each
+//! [`ArtifactStore`](crate::store::ArtifactStore) owns one, so its
+//! counters belong to the engine that runs on that store.
 //!
 //! The cache is safe to hit from many pool workers at once: each key maps
 //! to a [`OnceLock`](std::sync::OnceLock) slot, so concurrent requests
@@ -17,15 +19,6 @@ use nbl_trace::ir::Program;
 use nbl_trace::machine::CompiledProgram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Structural fingerprint of a program's IR:
-/// [`crate::store::program_fingerprint`], the cross-process stable hash.
-/// These keys never leave the process, but the same fingerprint is half
-/// of a result artifact's content address in the disk tier, so the two
-/// must not drift apart.
-fn fingerprint(program: &Program) -> u64 {
-    crate::store::program_fingerprint(program)
-}
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Key {
@@ -47,8 +40,8 @@ pub struct CacheStats {
     pub compiles: u64,
 }
 
-/// The cache itself. Use [`CompileCache::global`] to share compiles across
-/// every sweep in the process, or a local instance for isolated tests.
+/// The cache itself: one per [`ArtifactStore`](crate::store::ArtifactStore),
+/// shared by every sweep of the engine that owns the store.
 #[derive(Debug, Default)]
 pub struct CompileCache {
     slots: Mutex<FastMap<Key, Slot>>,
@@ -60,13 +53,6 @@ impl CompileCache {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The process-wide cache shared by the sweep engine and the cached
-    /// driver entry points.
-    pub fn global() -> &'static CompileCache {
-        static GLOBAL: OnceLock<CompileCache> = OnceLock::new();
-        GLOBAL.get_or_init(CompileCache::new)
     }
 
     /// Returns the compiled form of `program` at `latency`, compiling on
@@ -81,10 +67,12 @@ impl CompileCache {
         program: &Program,
         latency: u32,
     ) -> Result<Arc<CompiledProgram>, CompileError> {
+        // The cross-process stable IR fingerprint: the same value is half
+        // of a result artifact's content address in the disk tier.
         let key = Key {
             name: program.name.clone(),
             latency,
-            fingerprint: fingerprint(program),
+            fingerprint: crate::store::program_fingerprint(program),
         };
         let slot = {
             let mut map = self.slots.lock().expect("compile cache lock poisoned");

@@ -2,10 +2,7 @@
 //! latency, stream it through the configured processor, and collect the
 //! paper's metrics.
 
-use crate::compile_cache::CompileCache;
 use crate::config::{ProcessorKind, SimConfig};
-use crate::tape_cache::TapeCache;
-use crate::telemetry::Telemetry;
 use nbl_core::geometry::CacheGeometry;
 use nbl_core::inst::DynInst;
 use nbl_cpu::core_engine::{Core, EngineConfig, EngineError, L2Params};
@@ -18,7 +15,7 @@ use nbl_trace::exec::Executor;
 use nbl_trace::ir::Program;
 use nbl_trace::machine::{CompiledProgram, InstSink};
 use nbl_trace::tape::TraceTape;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 
 /// Any failure a simulation run can report: the compiler model rejected
@@ -274,6 +271,44 @@ thread_local! {
     /// state on the heap.
     static WORKER_ARENA: RefCell<Vec<((EngineConfig, IssuePolicy), IssueEngine)>> =
         const { RefCell::new(Vec::new()) };
+
+    /// This thread's arena builds, read by [`arena_counts`].
+    static ARENA_BUILDS: Cell<u64> = const { Cell::new(0) };
+
+    /// This thread's arena reuses, read by [`arena_counts`].
+    static ARENA_REUSES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Monotonic per-thread worker-arena counters: processors built from
+/// scratch because no pooled one matched the run's configuration, and
+/// runs served by resetting a pooled processor. On a warm worker the
+/// build count stays flat run-to-run — the allocation counter the
+/// zero-alloc tests pin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ArenaCounts {
+    /// Processors built from scratch.
+    pub builds: u64,
+    /// Runs served by a reset pooled processor.
+    pub reuses: u64,
+}
+
+impl ArenaCounts {
+    /// Builds and reuses between `earlier` and `self`.
+    pub fn since(self, earlier: ArenaCounts) -> ArenaCounts {
+        ArenaCounts {
+            builds: self.builds.saturating_sub(earlier.builds),
+            reuses: self.reuses.saturating_sub(earlier.reuses),
+        }
+    }
+}
+
+/// The calling thread's arena counters so far. Per-thread, so a delta
+/// taken around work on one thread counts only that work.
+pub fn arena_counts() -> ArenaCounts {
+    ArenaCounts {
+        builds: ARENA_BUILDS.with(Cell::get),
+        reuses: ARENA_REUSES.with(Cell::get),
+    }
 }
 
 /// Takes an engine for `(config, policy)` from this worker's arena (reset,
@@ -290,11 +325,11 @@ fn acquire_engine(config: &EngineConfig, policy: IssuePolicy) -> IssueEngine {
     match pooled {
         Some(mut cpu) => {
             cpu.reset();
-            Telemetry::global().record_arena_reuse();
+            ARENA_REUSES.with(|c| c.set(c.get() + 1));
             cpu
         }
         None => {
-            Telemetry::global().record_arena_build();
+            ARENA_BUILDS.with(|c| c.set(c.get() + 1));
             IssueEngine::new(config.clone(), policy)
         }
     }
@@ -340,23 +375,8 @@ fn engine_config(cfg: &SimConfig, perfect: bool) -> EngineConfig {
     }
 }
 
-/// Telemetry common to every single-issue run, tape-replayed or
-/// interpreted.
-fn record_single_run(cfg: &SimConfig, result: &RunResult, trace: Option<&MemTrace>) {
-    Telemetry::global().record_run(result.instructions, result.cycles);
-    if cfg.replacement != nbl_core::tag_array::ReplacementKind::default() {
-        Telemetry::global().record_policy_run();
-    }
-    if cfg.processor != ProcessorKind::default() {
-        Telemetry::global().record_model_run();
-    }
-    if let Some(t) = trace {
-        Telemetry::global().record_events(t.stats.total_events());
-    }
-}
-
-/// Drives the run (finish + summarize + telemetry) once the stream has
-/// been fed, shared by the single and fused paths.
+/// Drives the run (finish + summarize) once the stream has been fed,
+/// shared by the single and fused paths.
 fn finish_single(
     benchmark: &str,
     cfg: &SimConfig,
@@ -365,9 +385,7 @@ fn finish_single(
 ) -> Result<(RunResult, Option<MemTrace>), EngineError> {
     cpu.finish()?;
     let trace = cpu.take_mem_trace();
-    let result = summarize(benchmark, cfg, static_spill_ops, cpu);
-    record_single_run(cfg, &result, trace.as_ref());
-    Ok((result, trace))
+    Ok((summarize(benchmark, cfg, static_spill_ops, cpu), trace))
 }
 
 /// What one single-width run observed: its result plus whatever the
@@ -494,12 +512,11 @@ pub fn run_tape_fused(
 }
 
 /// Runs one compiled program through the single-issue processor under
-/// `cfg` (the program must already be compiled for `cfg.load_latency`).
-///
-/// The dynamic stream is served from the process-wide [`TapeCache`]:
-/// recorded by one `Executor` walk on the first run of this
-/// `(benchmark, latency)` pair, replayed from the flat tape on every
-/// later run. Use [`run_compiled_interpreted`] to force the interpreter.
+/// `cfg` (the program must already be compiled for `cfg.load_latency`):
+/// records its tape with one `Executor` walk and replays it. Callers
+/// that replay a pair many times fetch the tape once from an
+/// [`ArtifactStore`](crate::store::ArtifactStore) and call [`run_tape`];
+/// use [`run_compiled_interpreted`] to force the interpreter.
 ///
 /// # Errors
 ///
@@ -509,8 +526,7 @@ pub fn run_compiled(
     compiled: &CompiledProgram,
     cfg: &SimConfig,
 ) -> Result<RunResult, EngineError> {
-    let tape = TapeCache::global().get_or_record(compiled);
-    run_tape(benchmark, &tape, cfg)
+    run_tape(benchmark, &TraceTape::record(compiled), cfg)
 }
 
 /// [`run_compiled`] without the tape fast path: re-interprets the
@@ -539,24 +555,22 @@ pub fn run_program(program: &Program, cfg: &SimConfig) -> Result<RunResult, SimE
     Ok(run_compiled(&program.name, &compiled, cfg)?)
 }
 
-/// Compiles `program` (through the process-wide [`CompileCache`]) and
-/// replays it with miss-lifecycle tracing enabled: the returned
+/// [`run_tape`] with miss-lifecycle tracing enabled: the returned
 /// [`MemTrace`] holds the last `ring_capacity` raw events and the full
 /// [`nbl_mem::event::MissLifecycleStats`] aggregate of the run.
 ///
 /// # Errors
 ///
-/// [`SimError`] from the compiler model or the engine.
-pub fn run_program_traced(
-    program: &Program,
+/// [`EngineError`] if the engine hit a model invariant violation mid-run.
+pub fn run_tape_traced(
+    benchmark: &str,
+    tape: &TraceTape,
     cfg: &SimConfig,
     ring_capacity: usize,
-) -> Result<(RunResult, MemTrace), SimError> {
-    let compiled = CompileCache::global().get_or_compile(program, cfg.load_latency)?;
-    let tape = TapeCache::global().get_or_record(&compiled);
+) -> Result<(RunResult, MemTrace), EngineError> {
     let run = run_single(
-        &program.name,
-        Stream::Tape(&tape),
+        benchmark,
+        Stream::Tape(tape),
         cfg,
         Some(ring_capacity),
         false,
@@ -596,8 +610,7 @@ pub fn run_dual(program: &Program, cfg: &SimConfig) -> Result<DualRunResult, Sim
 }
 
 /// Both dual-issue passes of `stream` — perfect-cache, then real — on
-/// pooled engines, summarized into a [`DualRunResult`] and recorded as
-/// simulated work.
+/// pooled engines, summarized into a [`DualRunResult`].
 fn run_dual_stream(
     benchmark: &str,
     stream: Stream<'_>,
@@ -618,8 +631,6 @@ fn run_dual_stream(
         |real| {
             pass(real)?;
             let instructions = real.stats().instructions;
-            Telemetry::global().record_run(instructions, perfect.0);
-            Telemetry::global().record_run(instructions, real.now().0);
             Ok(DualRunResult {
                 benchmark: benchmark.to_string(),
                 config: cfg.hw.label(),
@@ -649,9 +660,8 @@ pub fn run_dual_tape(
 }
 
 /// The dual-issue run on an already-compiled program (which must match
-/// `cfg.load_latency`). The stream is served from the process-wide
-/// [`TapeCache`], shared by the perfect-cache and real passes (and by
-/// every other configuration of the pair); use
+/// `cfg.load_latency`): records its tape once and replays it for both
+/// the perfect-cache and real passes; use
 /// [`run_dual_compiled_interpreted`] to force the interpreter.
 ///
 /// # Errors
@@ -662,8 +672,7 @@ pub fn run_dual_compiled(
     compiled: &CompiledProgram,
     cfg: &SimConfig,
 ) -> Result<DualRunResult, EngineError> {
-    let tape = TapeCache::global().get_or_record(compiled);
-    run_dual_tape(benchmark, &tape, cfg)
+    run_dual_tape(benchmark, &TraceTape::record(compiled), cfg)
 }
 
 /// [`run_dual_compiled`] without the tape fast path: both passes
@@ -679,14 +688,6 @@ pub fn run_dual_compiled_interpreted(
     cfg: &SimConfig,
 ) -> Result<DualRunResult, EngineError> {
     run_dual_stream(benchmark, Stream::Interpreted(compiled), cfg)
-}
-
-impl RunResult {
-    /// `true` if `self` is at least as good (no larger MCPI) as `other`,
-    /// with a small tolerance for simulation noise.
-    pub fn no_worse_than(&self, other: &RunResult, tolerance: f64) -> bool {
-        self.mcpi <= other.mcpi * (1.0 + tolerance)
-    }
 }
 
 #[cfg(test)]

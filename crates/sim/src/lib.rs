@@ -24,7 +24,7 @@
 //!   (`results/store/`) that persists tapes and [`driver::RunResult`]s
 //!   across processes, with quarantine-and-re-record corruption handling
 //!   and the incremental-sweep fast path;
-//! * [`telemetry`] — process-wide counters of simulated work, for
+//! * [`telemetry`] — an engine's counters of simulated work, for
 //!   throughput reporting;
 //! * [`report`] — fixed-width text rendering in the shape of the paper's
 //!   figures and tables.
@@ -47,23 +47,18 @@ pub mod store;
 pub mod sweep;
 /// Record-once/replay-many trace-tape cache beside the compile cache.
 pub mod tape_cache;
-/// Process-wide atomic counters surfaced in the throughput table.
+/// Engine-owned atomic counters surfaced in the throughput table.
 pub mod telemetry;
 
 pub use compile_cache::{CacheStats, CompileCache};
 pub use config::{HwConfig, IssueWidth, ProcessorKind, SimConfig};
 pub use driver::{
-    run_compiled, run_compiled_interpreted, run_dual, run_dual_compiled,
-    run_dual_compiled_interpreted, run_dual_tape, run_program, run_program_traced, run_tape,
-    run_tape_fused, run_tape_probed, DualRunResult, RunResult, SimError,
+    arena_counts, run_compiled, run_compiled_interpreted, run_dual, run_dual_compiled,
+    run_dual_compiled_interpreted, run_dual_tape, run_program, run_tape, run_tape_fused,
+    run_tape_probed, run_tape_traced, ArenaCounts, DualRunResult, RunResult, SimError,
 };
 pub use pool::{available_threads, JobPanic, JobPool};
-pub use store::{
-    configure_store, store_settings, ArtifactError, ArtifactStore, DiskTier, StoreSettings,
-    StoreStats,
-};
-pub use sweep::{
-    latency_sweep, penalty_sweep, LatencySweep, ModelSweep, PenaltySweep, SweepEngine,
-};
+pub use store::{ArtifactError, ArtifactStore, DiskTier, StoreSettings, StoreStats};
+pub use sweep::{LatencySweep, ModelSweep, PenaltySweep, SweepEngine};
 pub use tape_cache::{TapeCache, TapeStats};
 pub use telemetry::{Telemetry, TelemetrySnapshot};

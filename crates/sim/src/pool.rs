@@ -88,11 +88,6 @@ impl JobPool {
         }
     }
 
-    /// A pool sized by [`available_threads`].
-    pub fn with_default_threads() -> Self {
-        Self::new(available_threads())
-    }
-
     /// Worker count this pool runs with.
     pub fn threads(&self) -> usize {
         self.threads
@@ -303,7 +298,7 @@ impl JobPool {
 
 impl Default for JobPool {
     fn default() -> Self {
-        Self::with_default_threads()
+        Self::new(available_threads())
     }
 }
 

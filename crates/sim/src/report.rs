@@ -753,18 +753,19 @@ pub fn miss_lifecycle_json(benchmark: &str, config: &str, stats: &MissLifecycleS
 mod tests {
     use super::*;
     use crate::config::{HwConfig, SimConfig};
-    use crate::sweep::{latency_sweep, penalty_sweep};
+    use crate::sweep::SweepEngine;
     use nbl_trace::workloads::{build, Scale};
 
     fn tiny_sweep() -> LatencySweep {
         let p = build("eqntott", Scale::quick()).unwrap();
-        latency_sweep(
-            &p,
-            &SimConfig::baseline(HwConfig::Mc0),
-            &[HwConfig::Mc0, HwConfig::NoRestrict],
-            &[1, 10],
-        )
-        .unwrap()
+        SweepEngine::new(1)
+            .latency_sweep(
+                &p,
+                &SimConfig::baseline(HwConfig::Mc0),
+                &[HwConfig::Mc0, HwConfig::NoRestrict],
+                &[1, 10],
+            )
+            .unwrap()
     }
 
     #[test]
@@ -841,13 +842,14 @@ mod tests {
     #[test]
     fn penalty_csv_renders() {
         let p = build("eqntott", Scale::quick()).unwrap();
-        let s = penalty_sweep(
-            &p,
-            &SimConfig::baseline(HwConfig::Mc0),
-            &[HwConfig::Mc0],
-            &[8, 16],
-        )
-        .unwrap();
+        let s = SweepEngine::new(1)
+            .penalty_sweep(
+                &p,
+                &SimConfig::baseline(HwConfig::Mc0),
+                &[HwConfig::Mc0],
+                &[8, 16],
+            )
+            .unwrap();
         let csv = penalty_sweep_csv(&s);
         assert!(csv.starts_with("miss_penalty,mc=0"));
         assert_eq!(csv.lines().count(), 3);
@@ -958,10 +960,12 @@ mod tests {
 
     #[test]
     fn miss_lifecycle_render_and_json() {
-        use crate::driver::run_program_traced;
+        use crate::driver::run_tape_traced;
+        use nbl_trace::tape::TraceTape;
         let p = build("tomcatv", Scale::quick()).unwrap();
-        let (_r, trace) =
-            run_program_traced(&p, &SimConfig::baseline(HwConfig::NoRestrict), 128).unwrap();
+        let cfg = SimConfig::baseline(HwConfig::NoRestrict);
+        let tape = TraceTape::record(&nbl_sched::compile(&p, cfg.load_latency).unwrap());
+        let (_r, trace) = run_tape_traced("tomcatv", &tape, &cfg, 128).unwrap();
         let stats = &trace.stats;
         assert!(stats.fetches > 0, "tomcatv must miss");
         let table = miss_lifecycle_table("tomcatv", "no restrict", stats);
@@ -978,13 +982,14 @@ mod tests {
     #[test]
     fn penalty_table_renders() {
         let p = build("eqntott", Scale::quick()).unwrap();
-        let s = penalty_sweep(
-            &p,
-            &SimConfig::baseline(HwConfig::Mc0),
-            &[HwConfig::Mc0],
-            &[8, 16],
-        )
-        .unwrap();
+        let s = SweepEngine::new(1)
+            .penalty_sweep(
+                &p,
+                &SimConfig::baseline(HwConfig::Mc0),
+                &[HwConfig::Mc0],
+                &[8, 16],
+            )
+            .unwrap();
         let t = mcpi_vs_penalty_table(&s);
         assert!(t.contains("mc=0"));
         assert!(t.lines().count() == 3);

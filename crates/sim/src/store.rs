@@ -57,7 +57,7 @@ use nbl_trace::tape::TraceTape;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Leading magic of a serialized [`RunResult`] artifact.
 pub const RESULT_MAGIC: [u8; 4] = *b"NBLR";
@@ -604,12 +604,14 @@ pub fn decode_result(bytes: &[u8]) -> Result<RunResult, TapeCodecError> {
 }
 
 // ---------------------------------------------------------------------
-// Store settings (process-wide configuration)
+// Store settings
 // ---------------------------------------------------------------------
 
-/// How a process wires its [`ArtifactStore`]: where (and whether) the
+/// How a caller wires its [`ArtifactStore`]: where (and whether) the
 /// disk tier lives, and whether sweeps run incrementally (answering
-/// unchanged grid cells from stored results without simulating).
+/// unchanged grid cells from stored results without simulating). The
+/// `figures` CLI reads these once from the environment, merges its
+/// `--store`/`--incremental` flags over them, and opens one store.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreSettings {
     /// Disk-tier directory; `None` keeps the store memory-only.
@@ -630,25 +632,6 @@ impl StoreSettings {
             incremental: std::env::var("NBL_INCREMENTAL").is_ok_and(|v| v.trim() == "1"),
         }
     }
-}
-
-static SETTINGS: OnceLock<StoreSettings> = OnceLock::new();
-
-/// Pins the process-wide store settings (the CLI calls this once from
-/// `--store`/`--incremental` before any sweep). Returns `false` if the
-/// settings were already pinned (first caller wins — same discipline as
-/// the bench options).
-pub fn configure_store(settings: StoreSettings) -> bool {
-    SETTINGS.set(settings).is_ok()
-}
-
-/// The process-wide store settings: whatever [`configure_store`] pinned,
-/// else [`StoreSettings::from_env`].
-pub fn store_settings() -> StoreSettings {
-    SETTINGS
-        .get()
-        .cloned()
-        .unwrap_or_else(StoreSettings::from_env)
 }
 
 // ---------------------------------------------------------------------
@@ -696,15 +679,6 @@ impl ArtifactStore {
             tapes: TapeCache::with_disk(Arc::clone(&disk)),
             disk: Some(disk),
             incremental,
-        }
-    }
-
-    /// A store wired from [`store_settings`] (CLI flags or environment).
-    pub fn from_settings() -> ArtifactStore {
-        let settings = store_settings();
-        match settings.dir {
-            Some(dir) => ArtifactStore::with_disk(dir, settings.incremental),
-            None => ArtifactStore::in_memory(),
         }
     }
 

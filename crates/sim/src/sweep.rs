@@ -9,12 +9,12 @@
 
 use crate::compile_cache::CompileCache;
 use crate::config::{HwConfig, ProcessorKind, SimConfig};
-use crate::driver::{run_compiled, run_tape, run_tape_fused, RunResult, SimError};
+use crate::driver::{run_tape, run_tape_fused, RunResult, SimError};
 use crate::pool::JobPool;
 use crate::store::{program_fingerprint, result_fingerprint, ArtifactStore};
 use crate::tape_cache::TapeCache;
+use crate::telemetry::Telemetry;
 use nbl_core::tag_array::ReplacementKind;
-use nbl_sched::compile::compile;
 use nbl_trace::ir::Program;
 use nbl_trace::tape::TraceTape;
 use std::sync::{Arc, OnceLock};
@@ -47,39 +47,6 @@ impl LatencySweep {
     }
 }
 
-/// Sweeps `configs` × `latencies` for one benchmark program.
-///
-/// # Errors
-///
-/// [`SimError`] from the compiler model or the engine.
-pub fn latency_sweep(
-    program: &Program,
-    base: &SimConfig,
-    configs: &[HwConfig],
-    latencies: &[u32],
-) -> Result<LatencySweep, SimError> {
-    let mut rows = Vec::with_capacity(latencies.len());
-    for &lat in latencies {
-        let compiled = compile(program, lat)?;
-        let mut row = Vec::with_capacity(configs.len());
-        for hw in configs {
-            let cfg = SimConfig {
-                hw: hw.clone(),
-                ..base.clone()
-            }
-            .at_latency(lat);
-            row.push(run_compiled(&program.name, &compiled, &cfg)?);
-        }
-        rows.push(row);
-    }
-    Ok(LatencySweep {
-        benchmark: program.name.clone(),
-        configs: configs.iter().map(HwConfig::label).collect(),
-        latencies: latencies.to_vec(),
-        rows,
-    })
-}
-
 /// MCPI-vs-miss-penalty table for one benchmark at a fixed latency
 /// (Fig. 18's shape).
 #[derive(Debug, Clone)]
@@ -101,39 +68,6 @@ impl PenaltySweep {
         let i = self.penalties.iter().position(|&p| p == penalty)?;
         Some(&self.rows[i][j])
     }
-}
-
-/// Sweeps `configs` × `penalties` at the base config's load latency.
-///
-/// # Errors
-///
-/// [`SimError`] from the compiler model or the engine.
-pub fn penalty_sweep(
-    program: &Program,
-    base: &SimConfig,
-    configs: &[HwConfig],
-    penalties: &[u32],
-) -> Result<PenaltySweep, SimError> {
-    let compiled = compile(program, base.load_latency)?;
-    let mut rows = Vec::with_capacity(penalties.len());
-    for &pen in penalties {
-        let mut row = Vec::with_capacity(configs.len());
-        for hw in configs {
-            let cfg = SimConfig {
-                hw: hw.clone(),
-                ..base.clone()
-            }
-            .with_penalty(pen);
-            row.push(run_compiled(&program.name, &compiled, &cfg)?);
-        }
-        rows.push(row);
-    }
-    Ok(PenaltySweep {
-        benchmark: program.name.clone(),
-        configs: configs.iter().map(HwConfig::label).collect(),
-        penalties: penalties.to_vec(),
-        rows,
-    })
 }
 
 /// Replacement-policy sensitivity grid for one benchmark: policy × MSHR
@@ -251,9 +185,11 @@ fn span_claim_order(spans: &[RowSpan], weights: &[u64]) -> Vec<usize> {
     order
 }
 
-/// The parallel sweep engine: a [`JobPool`] plus an [`ArtifactStore`]
-/// (the memory-tier [`CompileCache`] and [`TapeCache`], optionally
-/// backed by the content-addressed disk tier).
+/// The parallel sweep engine: a [`JobPool`], an [`ArtifactStore`] (the
+/// memory-tier [`CompileCache`] and [`TapeCache`], optionally backed by
+/// the content-addressed disk tier) and the [`Telemetry`] of the cells it
+/// simulates. All state is the engine's own: two engines share no caches
+/// and no counters.
 ///
 /// Sweeps flatten their `(benchmark, latency, configuration)` grids into a
 /// single pool invocation; each cell fetches its compiled program from the
@@ -272,15 +208,13 @@ fn span_claim_order(spans: &[RowSpan], weights: &[u64]) -> Vec<usize> {
 pub struct SweepEngine {
     pool: JobPool,
     store: ArtifactStore,
+    telemetry: Telemetry,
 }
 
 impl SweepEngine {
     /// An engine with `threads` workers and a fresh memory-only store.
     pub fn new(threads: usize) -> Self {
-        Self {
-            pool: JobPool::new(threads),
-            store: ArtifactStore::in_memory(),
-        }
+        Self::with_store(threads, ArtifactStore::in_memory())
     }
 
     /// An engine with `threads` workers running on an explicit store
@@ -290,20 +224,8 @@ impl SweepEngine {
         Self {
             pool: JobPool::new(threads),
             store,
+            telemetry: Telemetry::default(),
         }
-    }
-
-    /// The process-wide engine: default thread count (`NBL_THREADS` or the
-    /// machine's parallelism) and a store wired from
-    /// [`crate::store::store_settings`] (CLI flags or `NBL_STORE_DIR` /
-    /// `NBL_INCREMENTAL`), shared across every sweep, so a whole bench
-    /// invocation compiles and records each pair at most once.
-    pub fn global() -> &'static SweepEngine {
-        static GLOBAL: OnceLock<SweepEngine> = OnceLock::new();
-        GLOBAL.get_or_init(|| Self {
-            pool: JobPool::with_default_threads(),
-            store: ArtifactStore::from_settings(),
-        })
     }
 
     /// The engine's pool (e.g. for ad-hoc fan-out over benchmarks).
@@ -324,6 +246,13 @@ impl SweepEngine {
     /// The engine's tape cache (e.g. for counter reporting).
     pub fn tapes(&self) -> &TapeCache {
         self.store.tape_cache()
+    }
+
+    /// The counters of every cell this engine simulated (cells answered
+    /// from stored results are not simulated and not counted), plus the
+    /// worker-arena builds and reuses of its pool jobs.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
     }
 
     /// The result-artifact fingerprint of one cell, when the store has a
@@ -349,31 +278,21 @@ impl SweepEngine {
         let compiled = self.store.get_or_compile(program, cfg.load_latency)?;
         let tape = self.store.get_or_record(&compiled);
         let result = run_tape(&program.name, &tape, cfg)?;
+        self.telemetry.record_result(cfg, &result);
         if let Some(fp) = fp {
             self.store.store_result(&result, fp);
         }
         Ok(result)
     }
 
-    /// One fused row — every configuration of a `(program, latency)`
-    /// pair in one tape walk. In incremental mode, cells whose stored
-    /// results are present under their exact input fingerprints are
-    /// answered from the store; only the missing configurations are
-    /// simulated (still fused, and each configuration's replay is
-    /// independent of its row neighbours, so the mix is bit-identical to
-    /// an all-simulated row). Fresh results write through.
-    fn run_row_fused(
-        &self,
-        program: &Program,
-        program_fp: Option<u64>,
-        latency: u32,
-        cfgs: &[SimConfig],
-    ) -> Result<Vec<RunResult>, SimError> {
-        self.run_row_span(program, program_fp, latency, cfgs, &OnceLock::new())
-    }
-
     /// One scheduling unit of a fused row: the contiguous configuration
-    /// slice `cfgs` of a `(program, latency)` pair. When a row is split
+    /// slice `cfgs` of a `(program, latency)` pair, replayed in one tape
+    /// walk. In incremental mode, cells whose stored results are present
+    /// under their exact input fingerprints are answered from the store;
+    /// only the missing configurations are simulated (still fused, and
+    /// each configuration's replay is independent of its row neighbours,
+    /// so the mix is bit-identical to an all-simulated row). Fresh
+    /// results write through. When a row is split
     /// across units (fusion-aware scheduling under a multi-thread pool),
     /// all of its units share `tape_slot`, so the pair is still compiled
     /// and recorded **exactly once per sweep** — the first unit that
@@ -409,6 +328,7 @@ impl SweepEngine {
             let missing_cfgs: Vec<SimConfig> = missing.iter().map(|&j| cfgs[j].clone()).collect();
             let fresh = run_tape_fused(&program.name, &tape, &missing_cfgs)?;
             for (&j, result) in missing.iter().zip(fresh) {
+                self.telemetry.record_result(&cfgs[j], &result);
                 if let Some(fps) = &fps {
                     self.store.store_result(&result, fps[j]);
                 }
@@ -432,8 +352,8 @@ impl SweepEngine {
             .unwrap_or_else(|| program.estimated_instructions())
     }
 
-    /// Parallel [`latency_sweep`]: identical results, cells run on the
-    /// pool, compilation via the engine's cache.
+    /// `configs` × `latencies` for one benchmark program: one fused row
+    /// per latency on the pool, compilation via the engine's cache.
     ///
     /// # Errors
     ///
@@ -502,12 +422,15 @@ impl SweepEngine {
             if self.pool.threads() <= 1 || nrows <= 1 || nc == 0 {
                 self.pool
                     .try_run(nrows, |idx| -> Result<Vec<RunResult>, SimError> {
-                        self.run_row_fused(
-                            programs[idx / nl],
-                            program_fps[idx / nl],
-                            latencies[idx % nl],
-                            &span_cfgs(idx, 0, nc),
-                        )
+                        self.telemetry.track(|| {
+                            self.run_row_span(
+                                programs[idx / nl],
+                                program_fps[idx / nl],
+                                latencies[idx % nl],
+                                &span_cfgs(idx, 0, nc),
+                                &OnceLock::new(),
+                            )
+                        })
                     })?
             } else {
                 let weights: Vec<u64> = (0..nrows)
@@ -522,13 +445,15 @@ impl SweepEngine {
                     &order,
                     |u| -> Result<Vec<RunResult>, SimError> {
                         let RowSpan { row, lo, hi } = spans[u];
-                        self.run_row_span(
-                            programs[row / nl],
-                            program_fps[row / nl],
-                            latencies[row % nl],
-                            &span_cfgs(row, lo, hi),
-                            &tape_slots[row],
-                        )
+                        self.telemetry.track(|| {
+                            self.run_row_span(
+                                programs[row / nl],
+                                program_fps[row / nl],
+                                latencies[row % nl],
+                                &span_cfgs(row, lo, hi),
+                                &tape_slots[row],
+                            )
+                        })
                     },
                 )?;
                 // Stitch spans back into whole rows: spans are row-major,
@@ -546,19 +471,15 @@ impl SweepEngine {
                 }
                 rows
             };
-        let mut iter = rows.into_iter();
+        let mut rows = rows.into_iter();
         programs
             .iter()
             .map(|program| {
-                let mut rows = Vec::with_capacity(nl);
-                for _ in 0..nl {
-                    rows.push(iter.next().expect("one row per (program, latency)")?);
-                }
                 Ok(LatencySweep {
                     benchmark: program.name.clone(),
                     configs: configs.iter().map(HwConfig::label).collect(),
                     latencies: latencies.to_vec(),
-                    rows,
+                    rows: rows.by_ref().take(nl).collect::<Result<_, _>>()?,
                 })
             })
             .collect()
@@ -579,40 +500,24 @@ impl SweepEngine {
         configs: &[HwConfig],
         latencies: &[u32],
     ) -> Result<Vec<LatencySweep>, SimError> {
-        let (nl, nc) = (latencies.len(), configs.len());
-        let cells = self.pool.try_run(
-            programs.len() * nl * nc,
-            |idx| -> Result<RunResult, SimError> {
-                let program = programs[idx / (nl * nc)];
-                let lat = latencies[(idx / nc) % nl];
-                let cfg = SimConfig {
-                    hw: configs[idx % nc].clone(),
-                    ..base.clone()
-                }
-                .at_latency(lat);
-                self.run_cell(program, &cfg)
-            },
-        )?;
-        let mut iter = cells.into_iter();
-        programs
+        let planes = self.cell_grid(programs.len(), base, configs, latencies, |p, cfg| {
+            (programs[p], cfg)
+        })?;
+        Ok(programs
             .iter()
-            .map(|program| {
-                let mut rows = Vec::with_capacity(nl);
-                for _ in 0..nl {
-                    rows.push(iter.by_ref().take(nc).collect::<Result<Vec<_>, _>>()?);
-                }
-                Ok(LatencySweep {
-                    benchmark: program.name.clone(),
-                    configs: configs.iter().map(HwConfig::label).collect(),
-                    latencies: latencies.to_vec(),
-                    rows,
-                })
+            .zip(planes)
+            .map(|(program, rows)| LatencySweep {
+                benchmark: program.name.clone(),
+                configs: configs.iter().map(HwConfig::label).collect(),
+                latencies: latencies.to_vec(),
+                rows,
             })
-            .collect()
+            .collect())
     }
 
-    /// Parallel [`penalty_sweep`]: identical results, cells run on the
-    /// pool, the single compilation via the engine's cache.
+    /// `configs` × `penalties` at the base config's load latency: one
+    /// fused row per penalty on the pool, the single compilation via the
+    /// engine's cache.
     ///
     /// # Errors
     ///
@@ -642,7 +547,13 @@ impl SweepEngine {
                             .with_penalty(penalties[idx])
                         })
                         .collect();
-                    Ok(run_tape_fused(&program.name, &tape, &cfgs)?)
+                    let row = self
+                        .telemetry
+                        .track(|| run_tape_fused(&program.name, &tape, &cfgs))?;
+                    for (cfg, result) in cfgs.iter().zip(&row) {
+                        self.telemetry.record_result(cfg, result);
+                    }
+                    Ok(row)
                 })?;
         let rows = rows.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(PenaltySweep {
@@ -670,30 +581,9 @@ impl SweepEngine {
         configs: &[HwConfig],
         latencies: &[u32],
     ) -> Result<ReplacementSweep, SimError> {
-        let (nl, nc) = (latencies.len(), configs.len());
-        let cells = self.pool.try_run(
-            policies.len() * nl * nc,
-            |idx| -> Result<RunResult, SimError> {
-                let policy = policies[idx / (nl * nc)];
-                let lat = latencies[(idx / nc) % nl];
-                let cfg = SimConfig {
-                    hw: configs[idx % nc].clone(),
-                    ..base.clone()
-                }
-                .at_latency(lat)
-                .with_replacement(policy);
-                self.run_cell(program, &cfg)
-            },
-        )?;
-        let mut iter = cells.into_iter();
-        let mut rows = Vec::with_capacity(policies.len());
-        for _ in policies {
-            let mut per_latency = Vec::with_capacity(nl);
-            for _ in 0..nl {
-                per_latency.push(iter.by_ref().take(nc).collect::<Result<Vec<_>, _>>()?);
-            }
-            rows.push(per_latency);
-        }
+        let rows = self.cell_grid(policies.len(), base, configs, latencies, |p, cfg| {
+            (program, cfg.with_replacement(policies[p]))
+        })?;
         Ok(ReplacementSweep {
             benchmark: program.name.clone(),
             policies: policies.iter().map(ReplacementKind::label).collect(),
@@ -720,30 +610,9 @@ impl SweepEngine {
         configs: &[HwConfig],
         latencies: &[u32],
     ) -> Result<ModelSweep, SimError> {
-        let (nl, nc) = (latencies.len(), configs.len());
-        let cells = self.pool.try_run(
-            models.len() * nl * nc,
-            |idx| -> Result<RunResult, SimError> {
-                let model = models[idx / (nl * nc)];
-                let lat = latencies[(idx / nc) % nl];
-                let cfg = SimConfig {
-                    hw: configs[idx % nc].clone(),
-                    ..base.clone()
-                }
-                .at_latency(lat)
-                .with_processor(model);
-                self.run_cell(program, &cfg)
-            },
-        )?;
-        let mut iter = cells.into_iter();
-        let mut rows = Vec::with_capacity(models.len());
-        for _ in models {
-            let mut per_latency = Vec::with_capacity(nl);
-            for _ in 0..nl {
-                per_latency.push(iter.by_ref().take(nc).collect::<Result<Vec<_>, _>>()?);
-            }
-            rows.push(per_latency);
-        }
+        let rows = self.cell_grid(models.len(), base, configs, latencies, |m, cfg| {
+            (program, cfg.with_processor(models[m]))
+        })?;
         Ok(ModelSweep {
             benchmark: program.name.clone(),
             models: models.iter().map(|m| m.label().to_string()).collect(),
@@ -751,6 +620,34 @@ impl SweepEngine {
             latencies: latencies.to_vec(),
             rows,
         })
+    }
+
+    /// `planes × latencies × configs` independent cells, one pool job
+    /// each, reshaped to `[plane][latency][config]`. `cell(plane, cfg)`
+    /// names the program and applies the plane's axis to a cell's
+    /// configuration (`base` with the cell's hardware and latency).
+    fn cell_grid<'p>(
+        &self,
+        planes: usize,
+        base: &SimConfig,
+        configs: &[HwConfig],
+        latencies: &[u32],
+        cell: impl Fn(usize, SimConfig) -> (&'p Program, SimConfig) + Sync,
+    ) -> Result<Vec<Vec<Vec<RunResult>>>, SimError> {
+        let (nl, nc) = (latencies.len(), configs.len());
+        let cells = self.pool.try_run(planes * nl * nc, |idx| {
+            let cfg = SimConfig {
+                hw: configs[idx % nc].clone(),
+                ..base.clone()
+            }
+            .at_latency(latencies[(idx / nc) % nl]);
+            let (program, cfg) = cell(idx / (nl * nc), cfg);
+            self.telemetry.track(|| self.run_cell(program, &cfg))
+        })?;
+        let mut iter = cells.into_iter();
+        (0..planes)
+            .map(|_| (0..nl).map(|_| iter.by_ref().take(nc).collect()).collect())
+            .collect()
     }
 
     /// Runs many independent `(program, config)` jobs on the pool, results
@@ -764,7 +661,7 @@ impl SweepEngine {
         self.pool
             .try_run(jobs.len(), |i| -> Result<RunResult, SimError> {
                 let (program, cfg) = &jobs[i];
-                self.run_cell(program, cfg)
+                self.telemetry.track(|| self.run_cell(program, cfg))
             })?
             .into_iter()
             .collect()
@@ -774,7 +671,67 @@ impl SweepEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nbl_sched::compile::compile;
     use nbl_trace::workloads::{build, Scale};
+
+    /// The serial reference for [`SweepEngine::latency_sweep`]: one
+    /// compile and one independent tape replay per cell, in order.
+    fn latency_sweep(
+        program: &Program,
+        base: &SimConfig,
+        configs: &[HwConfig],
+        latencies: &[u32],
+    ) -> Result<LatencySweep, SimError> {
+        let mut rows = Vec::with_capacity(latencies.len());
+        for &lat in latencies {
+            let tape = TraceTape::record(&compile(program, lat)?);
+            let mut row = Vec::with_capacity(configs.len());
+            for hw in configs {
+                let cfg = SimConfig {
+                    hw: hw.clone(),
+                    ..base.clone()
+                }
+                .at_latency(lat);
+                row.push(run_tape(&program.name, &tape, &cfg)?);
+            }
+            rows.push(row);
+        }
+        Ok(LatencySweep {
+            benchmark: program.name.clone(),
+            configs: configs.iter().map(HwConfig::label).collect(),
+            latencies: latencies.to_vec(),
+            rows,
+        })
+    }
+
+    /// The serial reference for [`SweepEngine::penalty_sweep`].
+    fn penalty_sweep(
+        program: &Program,
+        base: &SimConfig,
+        configs: &[HwConfig],
+        penalties: &[u32],
+    ) -> Result<PenaltySweep, SimError> {
+        let tape = TraceTape::record(&compile(program, base.load_latency)?);
+        let mut rows = Vec::with_capacity(penalties.len());
+        for &pen in penalties {
+            let mut row = Vec::with_capacity(configs.len());
+            for hw in configs {
+                let cfg = SimConfig {
+                    hw: hw.clone(),
+                    ..base.clone()
+                }
+                .with_penalty(pen);
+                row.push(run_tape(&program.name, &tape, &cfg)?);
+            }
+            rows.push(row);
+        }
+        Ok(PenaltySweep {
+            benchmark: program.name.clone(),
+            configs: configs.iter().map(HwConfig::label).collect(),
+            penalties: penalties.to_vec(),
+            rows,
+        })
+    }
 
     #[test]
     fn row_spans_tile_rows_and_split_by_weight() {
@@ -918,6 +875,25 @@ mod tests {
             "re-sweep re-records nothing"
         );
         assert_eq!(engine.tapes().stats().hits, 4);
+    }
+
+    #[test]
+    fn two_engines_do_not_share_counters() {
+        let (a, b) = (SweepEngine::new(2), SweepEngine::new(2));
+        let p = build("eqntott", Scale::quick()).unwrap();
+        let base = SimConfig::baseline(HwConfig::Mc0);
+        let configs = [HwConfig::Mc0, HwConfig::Mc(1), HwConfig::NoRestrict];
+        let latencies = [1, 10];
+        a.grid_sweep(&[&p], &base, &configs, &latencies).unwrap();
+        let work = a.telemetry().snapshot();
+        assert_eq!(work.runs, 6, "one run per cell");
+        assert!(work.instructions > 0 && work.cycles >= work.instructions);
+        assert_eq!(work.arena_builds + work.arena_reuses, 6);
+        assert_eq!(a.cache().stats().compiles, 2, "one compile per pair");
+        assert_eq!(a.tapes().stats().records, 2, "one recording per pair");
+        assert_eq!(b.telemetry().snapshot(), Default::default());
+        assert_eq!(b.cache().stats(), Default::default());
+        assert_eq!(b.tapes().stats(), Default::default());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! A shared tape cache: each compiled `(benchmark, latency)` pair is
 //! recorded into a [`TraceTape`](nbl_trace::tape::TraceTape) exactly once
-//! per process and the tape
-//! shared by reference across every hardware configuration that replays
-//! it — the record-once/replay-many half of the pipeline whose
-//! compile-once half is [`crate::compile_cache::CompileCache`].
+//! per cache and the tape shared by reference across every hardware
+//! configuration that replays it — the record-once/replay-many half of
+//! the pipeline whose compile-once half is
+//! [`crate::compile_cache::CompileCache`]. Each
+//! [`ArtifactStore`](crate::store::ArtifactStore) owns one, so its
+//! counters belong to the engine that runs on that store.
 //!
 //! The exactly-once mechanics mirror the compile cache (one
 //! [`OnceLock`](std::sync::OnceLock)
@@ -34,15 +36,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// holds every (benchmark, latency) tape of a full `figures all` run
 /// (~108 pairs × ~5 MiB) while bounding degenerate workloads.
 const DEFAULT_CAP_BYTES: usize = 2048 * 1024 * 1024;
-
-/// Structural fingerprint of a compiled program:
-/// [`crate::store::compiled_fingerprint`], the *cross-process stable*
-/// hash, because the same value is a tape artifact's content address in
-/// the disk tier. It keeps quick- and full-scale compilations of one
-/// benchmark at the same latency from aliasing.
-fn fingerprint(compiled: &CompiledProgram) -> u64 {
-    crate::store::compiled_fingerprint(compiled)
-}
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Key {
@@ -94,8 +87,8 @@ impl TapeStats {
     }
 }
 
-/// The cache itself. Use [`TapeCache::global`] to share recordings across
-/// every sweep in the process, or a local instance for isolated tests.
+/// The cache itself: one per [`ArtifactStore`](crate::store::ArtifactStore),
+/// shared by every sweep of the engine that owns the store.
 #[derive(Debug)]
 pub struct TapeCache {
     state: Mutex<State>,
@@ -146,13 +139,6 @@ impl TapeCache {
         cache
     }
 
-    /// The process-wide cache shared by the sweep engine and the cached
-    /// driver entry points.
-    pub fn global() -> &'static TapeCache {
-        static GLOBAL: OnceLock<TapeCache> = OnceLock::new();
-        GLOBAL.get_or_init(TapeCache::new)
-    }
-
     /// Returns the recorded tape of `compiled`: from the memory tier if
     /// already resident, else decoded from the disk tier (when one is
     /// attached and holds a valid artifact under this key), else by
@@ -161,10 +147,13 @@ impl TapeCache {
     /// any kind is absorbed (quarantine + re-record), so the call stays
     /// infallible.
     pub fn get_or_record(&self, compiled: &CompiledProgram) -> Arc<TraceTape> {
+        // The cross-process stable fingerprint, because the same value is
+        // a tape artifact's content address in the disk tier; it keeps
+        // quick- and full-scale compilations of one benchmark apart.
         let key = Key {
             name: compiled.name.clone(),
             latency: compiled.load_latency,
-            fingerprint: fingerprint(compiled),
+            fingerprint: crate::store::compiled_fingerprint(compiled),
         };
         let slot = {
             let mut st = self.state.lock().expect("tape cache lock poisoned");
@@ -274,13 +263,13 @@ impl TapeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile_cache::CompileCache;
     use crate::pool::JobPool;
+    use nbl_sched::compile::compile;
     use nbl_trace::workloads::{build, Scale};
 
     fn compiled(name: &str, latency: u32, scale: Scale) -> Arc<CompiledProgram> {
         let p = build(name, scale).unwrap();
-        CompileCache::global().get_or_compile(&p, latency).unwrap()
+        Arc::new(compile(&p, latency).unwrap())
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! Lightweight run telemetry: process-wide counters of simulation work
-//! done, for throughput reporting (simulated instructions per second) in
-//! the bench harness.
+//! Lightweight run telemetry: counters of simulation work done, for
+//! throughput reporting (simulated instructions per second) in the bench
+//! harness.
 //!
-//! The driver bumps the global counters once per completed simulation, so
-//! the cost is a handful of relaxed atomic adds per *run*, not per
-//! instruction — invisible next to the simulation itself.
+//! Each [`SweepEngine`](crate::sweep::SweepEngine) owns one [`Telemetry`]
+//! and records every cell it simulates, so a summary counts exactly the
+//! engine that did the work; the driver itself records nothing. Callers
+//! that run the driver directly record into the engine they report
+//! against. The cost is a handful of relaxed atomic adds per *run*, not
+//! per instruction — invisible next to the simulation itself.
 
+use crate::config::SimConfig;
+use crate::driver::{arena_counts, ArenaCounts, RunResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic counters of simulation work.
@@ -16,7 +21,6 @@ pub struct Telemetry {
     runs: AtomicU64,
     events: AtomicU64,
     policy_runs: AtomicU64,
-    model_runs: AtomicU64,
     arena_builds: AtomicU64,
     arena_reuses: AtomicU64,
 }
@@ -37,9 +41,6 @@ pub struct TelemetrySnapshot {
     /// Runs simulated under a non-LRU replacement policy (0 unless a
     /// policy sweep ran).
     pub policy_runs: u64,
-    /// Runs simulated under a non-default processor model (0 unless a
-    /// model sweep ran).
-    pub model_runs: u64,
     /// Processors constructed from scratch because no pooled worker
     /// matched the run's configuration. On a warm worker arena this stays
     /// flat run-to-run — the allocation counter the zero-alloc tests pin.
@@ -47,6 +48,22 @@ pub struct TelemetrySnapshot {
     /// Runs served by resetting a pooled processor instead of building
     /// one.
     pub arena_reuses: u64,
+}
+
+impl std::ops::Add for TelemetrySnapshot {
+    type Output = TelemetrySnapshot;
+
+    fn add(self, o: TelemetrySnapshot) -> TelemetrySnapshot {
+        TelemetrySnapshot {
+            instructions: self.instructions + o.instructions,
+            cycles: self.cycles + o.cycles,
+            runs: self.runs + o.runs,
+            events: self.events + o.events,
+            policy_runs: self.policy_runs + o.policy_runs,
+            arena_builds: self.arena_builds + o.arena_builds,
+            arena_reuses: self.arena_reuses + o.arena_reuses,
+        }
+    }
 }
 
 impl TelemetrySnapshot {
@@ -59,7 +76,6 @@ impl TelemetrySnapshot {
             runs: self.runs.saturating_sub(earlier.runs),
             events: self.events.saturating_sub(earlier.events),
             policy_runs: self.policy_runs.saturating_sub(earlier.policy_runs),
-            model_runs: self.model_runs.saturating_sub(earlier.model_runs),
             arena_builds: self.arena_builds.saturating_sub(earlier.arena_builds),
             arena_reuses: self.arena_reuses.saturating_sub(earlier.arena_reuses),
         }
@@ -76,26 +92,20 @@ impl TelemetrySnapshot {
 }
 
 impl Telemetry {
-    /// The process-wide instance the driver records into.
-    pub fn global() -> &'static Telemetry {
-        static GLOBAL: Telemetry = Telemetry {
-            instructions: AtomicU64::new(0),
-            cycles: AtomicU64::new(0),
-            runs: AtomicU64::new(0),
-            events: AtomicU64::new(0),
-            policy_runs: AtomicU64::new(0),
-            model_runs: AtomicU64::new(0),
-            arena_builds: AtomicU64::new(0),
-            arena_reuses: AtomicU64::new(0),
-        };
-        &GLOBAL
-    }
-
     /// Records one completed simulation run.
     pub fn record_run(&self, instructions: u64, cycles: u64) {
         self.instructions.fetch_add(instructions, Ordering::Relaxed);
         self.cycles.fetch_add(cycles, Ordering::Relaxed);
         self.runs.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one completed single-width run of `cfg`, counting it as a
+    /// policy run when `cfg` leaves the default replacement policy.
+    pub fn record_result(&self, cfg: &SimConfig, result: &RunResult) {
+        self.record_run(result.instructions, result.cycles);
+        if cfg.replacement != nbl_core::tag_array::ReplacementKind::default() {
+            self.record_policy_run();
+        }
     }
 
     /// Records lifecycle events observed by one traced run.
@@ -108,19 +118,21 @@ impl Telemetry {
         self.policy_runs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one run simulated under a non-default processor model.
-    pub fn record_model_run(&self) {
-        self.model_runs.fetch_add(1, Ordering::Relaxed);
+    /// Records worker-arena builds and reuses (a per-thread
+    /// [`ArenaCounts`] delta).
+    pub fn record_arena(&self, delta: ArenaCounts) {
+        self.arena_builds.fetch_add(delta.builds, Ordering::Relaxed);
+        self.arena_reuses.fetch_add(delta.reuses, Ordering::Relaxed);
     }
 
-    /// Records one processor built from scratch for the worker arena.
-    pub fn record_arena_build(&self) {
-        self.arena_builds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one run served by resetting a pooled processor.
-    pub fn record_arena_reuse(&self) {
-        self.arena_reuses.fetch_add(1, Ordering::Relaxed);
+    /// Runs `job` on the calling thread and records the worker-arena
+    /// builds and reuses it caused (the change in this thread's
+    /// [`arena_counts`]). The engine wraps every pool job in this.
+    pub fn track<T>(&self, job: impl FnOnce() -> T) -> T {
+        let before = arena_counts();
+        let out = job();
+        self.record_arena(arena_counts().since(before));
+        out
     }
 
     /// Current counter values.
@@ -131,7 +143,6 @@ impl Telemetry {
             runs: self.runs.load(Ordering::Relaxed),
             events: self.events.load(Ordering::Relaxed),
             policy_runs: self.policy_runs.load(Ordering::Relaxed),
-            model_runs: self.model_runs.load(Ordering::Relaxed),
             arena_builds: self.arena_builds.load(Ordering::Relaxed),
             arena_reuses: self.arena_reuses.load(Ordering::Relaxed),
         }
@@ -150,10 +161,10 @@ mod tests {
         t.record_run(40_000, 90_000);
         t.record_events(12);
         t.record_policy_run();
-        t.record_model_run();
-        t.record_arena_build();
-        t.record_arena_reuse();
-        t.record_arena_reuse();
+        t.record_arena(ArenaCounts {
+            builds: 1,
+            reuses: 2,
+        });
         let d = t.snapshot().since(before);
         assert_eq!(
             d,
@@ -163,22 +174,20 @@ mod tests {
                 runs: 2,
                 events: 12,
                 policy_runs: 1,
-                model_runs: 1,
                 arena_builds: 1,
                 arena_reuses: 2,
             }
         );
         assert!((d.inst_per_sec(2.0) - 40_000.0).abs() < 1e-9);
         assert_eq!(d.inst_per_sec(0.0), 0.0);
+        assert_eq!((d + d).since(d), d);
     }
 
     #[test]
-    fn global_is_monotonic() {
-        let before = Telemetry::global().snapshot();
-        Telemetry::global().record_run(1, 2);
-        let after = Telemetry::global().snapshot();
-        let d = after.since(before);
-        // Other tests may record concurrently; ours is at least included.
-        assert!(d.instructions >= 1 && d.cycles >= 2 && d.runs >= 1);
+    fn instances_count_independently() {
+        let (a, b) = (Telemetry::default(), Telemetry::default());
+        a.record_run(1, 2);
+        assert_eq!(a.snapshot().runs, 1);
+        assert_eq!(b.snapshot(), TelemetrySnapshot::default());
     }
 }

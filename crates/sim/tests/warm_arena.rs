@@ -1,31 +1,21 @@
 //! Exact pins on the worker-arena allocation counters.
 //!
-//! These tests assert *equalities* on the process-wide telemetry
-//! counters, so they need the process to themselves: this integration
-//! binary holds only serial tests that account for every run they
-//! trigger (unit tests in the library binary run concurrently and would
-//! perturb the deltas).
+//! The counters are per-thread ([`arena_counts`]), so each test reads the
+//! deltas of its own runs only: tests may run concurrently without
+//! perturbing each other's equalities.
 
 use nbl_sim::{
-    run_dual_tape, run_tape, run_tape_fused, CompileCache, HwConfig, SimConfig, TapeCache,
-    Telemetry,
+    arena_counts, run_dual_tape, run_tape, run_tape_fused, ArtifactStore, HwConfig, SimConfig,
 };
 use nbl_trace::workloads::{build, Scale};
-use std::sync::Mutex;
-
-/// Serializes the tests in this binary: both pin deltas on the shared
-/// global counters, so they must not interleave.
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
 fn warm_workers_serve_replays_without_building_processors() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
+    let store = ArtifactStore::in_memory();
     let program = build("eqntott", Scale::quick()).unwrap();
     let base = SimConfig::baseline(HwConfig::Mc0);
-    let compiled = CompileCache::global()
-        .get_or_compile(&program, base.load_latency)
-        .unwrap();
-    let tape = TapeCache::global().get_or_record(&compiled);
+    let compiled = store.get_or_compile(&program, base.load_latency).unwrap();
+    let tape = store.get_or_record(&compiled);
     let configs = [
         SimConfig::baseline(HwConfig::Mc0),
         SimConfig::baseline(HwConfig::Mc(1)),
@@ -43,14 +33,14 @@ fn warm_workers_serve_replays_without_building_processors() {
     // allocation counter. This is the model-level stand-in for a heap
     // profiler: a reset processor reuses all of its internal storage, so
     // zero builds means zero per-run simulator construction.
-    let before = Telemetry::global().snapshot();
+    let before = arena_counts();
     let mut warm = Vec::new();
     for cfg in &configs {
         warm.push(run_tape(&program.name, &tape, cfg).unwrap());
     }
-    let delta = Telemetry::global().snapshot().since(before);
-    assert_eq!(delta.arena_builds, 0, "a warm worker builds no processors");
-    assert_eq!(delta.arena_reuses, configs.len() as u64);
+    let delta = arena_counts().since(before);
+    assert_eq!(delta.builds, 0, "a warm worker builds no processors");
+    assert_eq!(delta.reuses, configs.len() as u64);
 
     // And reuse must be invisible in the results.
     assert_eq!(cold, warm, "pooled replay must be bit-identical");
@@ -58,13 +48,11 @@ fn warm_workers_serve_replays_without_building_processors() {
 
 #[test]
 fn fused_replay_draws_from_and_refills_the_arena() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
+    let store = ArtifactStore::in_memory();
     let program = build("compress", Scale::quick()).unwrap();
     let base = SimConfig::baseline(HwConfig::Mc0);
-    let compiled = CompileCache::global()
-        .get_or_compile(&program, base.load_latency)
-        .unwrap();
-    let tape = TapeCache::global().get_or_record(&compiled);
+    let compiled = store.get_or_compile(&program, base.load_latency).unwrap();
+    let tape = store.get_or_record(&compiled);
     let cfgs = vec![
         SimConfig::baseline(HwConfig::Mc0),
         SimConfig::baseline(HwConfig::Mc(2)),
@@ -72,11 +60,11 @@ fn fused_replay_draws_from_and_refills_the_arena() {
     ];
 
     let first = run_tape_fused(&program.name, &tape, &cfgs).unwrap();
-    let before = Telemetry::global().snapshot();
+    let before = arena_counts();
     let second = run_tape_fused(&program.name, &tape, &cfgs).unwrap();
-    let delta = Telemetry::global().snapshot().since(before);
-    assert_eq!(delta.arena_builds, 0, "a warm fused walk builds nothing");
-    assert_eq!(delta.arena_reuses, cfgs.len() as u64);
+    let delta = arena_counts().since(before);
+    assert_eq!(delta.builds, 0, "a warm fused walk builds nothing");
+    assert_eq!(delta.reuses, cfgs.len() as u64);
     assert_eq!(first, second);
 
     // Fused and unfused agree cell-for-cell.
@@ -89,20 +77,18 @@ fn fused_replay_draws_from_and_refills_the_arena() {
 
 #[test]
 fn warm_dual_runs_draw_both_passes_from_the_arena() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
+    let store = ArtifactStore::in_memory();
     let program = build("xlisp", Scale::quick()).unwrap();
     let cfg = SimConfig::baseline(HwConfig::Fc(2));
-    let compiled = CompileCache::global()
-        .get_or_compile(&program, cfg.load_latency)
-        .unwrap();
-    let tape = TapeCache::global().get_or_record(&compiled);
+    let compiled = store.get_or_compile(&program, cfg.load_latency).unwrap();
+    let tape = store.get_or_record(&compiled);
 
     let cold = run_dual_tape(&program.name, &tape, &cfg).unwrap();
-    let before = Telemetry::global().snapshot();
+    let before = arena_counts();
     let warm = run_dual_tape(&program.name, &tape, &cfg).unwrap();
-    let delta = Telemetry::global().snapshot().since(before);
+    let delta = arena_counts().since(before);
     // One engine per pass: the perfect-cache probe and the real run.
-    assert_eq!(delta.arena_builds, 0, "a warm dual run builds nothing");
-    assert_eq!(delta.arena_reuses, 2);
+    assert_eq!(delta.builds, 0, "a warm dual run builds nothing");
+    assert_eq!(delta.reuses, 2);
     assert_eq!(cold, warm, "pooled dual replay must be bit-identical");
 }

@@ -11,7 +11,7 @@
 //! ```
 
 use nonblocking_loads::sim::config::{HwConfig, SimConfig};
-use nonblocking_loads::sim::sweep::penalty_sweep;
+use nonblocking_loads::sim::sweep::SweepEngine;
 use nonblocking_loads::trace::workloads::{build, Scale};
 
 const PENALTIES: [u32; 6] = [4, 8, 16, 32, 64, 128];
@@ -27,13 +27,14 @@ fn main() {
         HwConfig::Fc(2),
         HwConfig::NoRestrict,
     ];
-    let sweep = penalty_sweep(
-        &program,
-        &SimConfig::baseline(HwConfig::NoRestrict),
-        &configs,
-        &PENALTIES,
-    )
-    .expect("workloads compile");
+    let sweep = SweepEngine::new(1)
+        .penalty_sweep(
+            &program,
+            &SimConfig::baseline(HwConfig::NoRestrict),
+            &configs,
+            &PENALTIES,
+        )
+        .expect("workloads compile");
 
     println!("MCPI vs miss penalty for {bench} (load latency 10)\n");
     print!("{:>14}", "config");

@@ -51,7 +51,7 @@ assert d["kind"] == "analyze", d["kind"]
 assert d["findings_total"] == len(d["findings"]) == 0, d["findings"]
 assert d["files_scanned"] > 0, d["files_scanned"]
 known = {"no-panic", "determinism", "exhaustiveness", "event-guard",
-         "doc-coverage", "bad-allow", "allowlist"}
+         "doc-coverage", "no-singleton", "bad-allow", "allowlist"}
 assert set(d["per_lint"]) <= known, d["per_lint"]
 assert d["allowlist_entries"] == 0, "the allowlist only burns down"
 print("analyze.json: shape OK")
@@ -117,37 +117,22 @@ print("replaymodel.json: shape OK")
 EOF
 
 echo "== oracle gate: 72-cell cross-check, zero violations (--deny) =="
-oracle_store="$replsens_dir/oracle-store"
-# Twice against one verdict store: the first pass analyzes and persists,
-# the second must answer every cell from the store (from_store all true)
-# — exercising the content-addressed verdict codec cross-process.
 cargo run --release -p nbl-oracle -- --deny \
-  --csv "$replsens_dir/oracle_cli.csv" --json "$replsens_dir/oracle_cli.json" \
-  --store "$oracle_store" >/dev/null
-cargo run --release -p nbl-oracle -- --deny \
-  --json "$replsens_dir/oracle_cli2.json" --store "$oracle_store" >/dev/null
-python3 - "$replsens_dir/oracle_cli.json" "$replsens_dir/oracle_cli2.json" <<'EOF'
+  --csv "$replsens_dir/oracle_cli.csv" --json "$replsens_dir/oracle_cli.json" >/dev/null
+python3 - "$replsens_dir/oracle_cli.json" <<'EOF'
 import json, sys
-first = json.load(open(sys.argv[1]))
-second = json.load(open(sys.argv[2]))
-for d in (first, second):
-    assert d["exhibit"] == "oracle", d["exhibit"]
-    assert d["cells"] == len(d["rows"]) == 72, d["cells"]
-    assert d["violations"] == 0, d["violations"]
-    for r in d["rows"]:
-        assert r["must_hit"] + r["must_miss"] + r["unknown"] == r["accesses"], r
-        assert r["violations"] == 0, r
+d = json.load(open(sys.argv[1]))
+assert d["exhibit"] == "oracle", d["exhibit"]
+assert d["cells"] == len(d["rows"]) == 72, d["cells"]
+assert d["violations"] == 0, d["violations"]
+for r in d["rows"]:
+    assert r["must_hit"] + r["must_miss"] + r["unknown"] == r["accesses"], r
+    assert r["violations"] == 0, r
 # Blocking LRU cells have a zero fill window: the analysis is exact there.
-for r in first["rows"]:
+for r in d["rows"]:
     if r["policy"] == "lru" and r["hw"] == "mc=0":
         assert r["unknown"] == 0, ("blocking lru cell left unknowns", r)
-assert not any(r["from_store"] for r in first["rows"]), "cold pass hit the store"
-assert all(r["from_store"] for r in second["rows"]), "warm pass missed the store"
-assert [ (r["bench"], r["geometry"], r["policy"], r["hw"], r["accesses"],
-          r["must_hit"], r["must_miss"], r["unknown"]) for r in first["rows"] ] \
-    == [ (r["bench"], r["geometry"], r["policy"], r["hw"], r["accesses"],
-          r["must_hit"], r["must_miss"], r["unknown"]) for r in second["rows"] ]
-print("oracle gate: 72 cells, 0 violations, verdict store warm-start OK")
+print("oracle gate: 72 cells, 0 violations")
 EOF
 
 echo "== smoke: oracle exhibit vs pinned LRU coverage golden =="
@@ -187,7 +172,14 @@ bench_date="$(git log -1 --format=%cs 2>/dev/null || echo unknown)"
 # verification run, so both trajectory entries record oracle_checked.
 NBL_BENCH_JSON="$bench_json" NBL_BENCH_DATE="$bench_date" NBL_ORACLE_CHECKED=1 \
   cargo run --release -p nbl-bench -- bench --store "$bench_store" \
-  --bench-reps 2 --out /dev/null >/dev/null
+  --bench-reps 2 --out "$replsens_dir/bench.txt" >/dev/null
+# The closing summary counts the engines that did the work: the bench
+# exhibit's private engines compiled every (benchmark, latency) pair.
+grep '^compile cache:' "$replsens_dir/bench.txt"
+if grep -q '^compile cache: 0 compilations' "$replsens_dir/bench.txt"; then
+  echo "bench summary lost its engines' compile counters" >&2
+  exit 1
+fi
 NBL_BENCH_JSON="$bench_json" NBL_BENCH_DATE="$bench_date" NBL_ORACLE_CHECKED=1 \
   NBL_THREADS=4 \
   cargo run --release -p nbl-bench -- bench --store "$bench_store" \
@@ -200,8 +192,7 @@ assert d["kind"] == "bench_sweep", d["kind"]
 assert d["runs"] == len(d["benchmarks"]) * len(d["configs"]) * len(d["load_latencies"])
 assert d["bit_identical"] is True, "a replay or store path diverged"
 for key in ("cold_wall_s", "warm_wall_s", "unfused_wall_s", "interpreted_wall_s",
-            "disk_warm_wall_s", "tape_scan_s", "mem_step_s",
-            "speedup_warm_vs_interpreted",
+            "disk_warm_wall_s", "speedup_warm_vs_interpreted",
             "speedup_fused_vs_unfused", "speedup_warm_vs_cold",
             "speedup_disk_warm_vs_cold"):
     assert d[key] > 0, key
@@ -222,7 +213,7 @@ for e in traj:
     for key in ("git", "threads", "reps", "warm_runs_per_sec", "disk_warm_wall_s",
                 "speedup_disk_warm_vs_cold", "fusion_regressed", "bit_identical",
                 "speedup_fused_vs_unfused_1t", "speedup_fused_vs_unfused_4t",
-                "tape_scan_s", "mem_step_s", "oracle_checked",
+                "oracle_checked",
                 "tape_resident_bytes", "tape_bytes_per_inst"):
         assert key in e, key
     assert e["bit_identical"] is True, e

@@ -125,12 +125,15 @@ fn port_refactor_preserves_every_golden_row() {
 
 #[test]
 fn tracing_does_not_perturb_the_simulation() {
-    use nonblocking_loads::sim::driver::run_program_traced;
+    use nonblocking_loads::sched::compile::compile;
+    use nonblocking_loads::sim::driver::run_tape_traced;
+    use nonblocking_loads::trace::tape::TraceTape;
     for &(bench, label) in &[("eqntott", "mc=1"), ("tomcatv", "no restrict")] {
         let p = build(bench, Scale::quick()).unwrap();
         let cfg = SimConfig::baseline(config_for(label)).at_latency(10);
         let plain = run_program(&p, &cfg).unwrap();
-        let (traced, trace) = run_program_traced(&p, &cfg, 64).unwrap();
+        let tape = TraceTape::record(&compile(&p, cfg.load_latency).unwrap());
+        let (traced, trace) = run_tape_traced(bench, &tape, &cfg, 64).unwrap();
         assert_eq!(plain, traced, "{bench} [{label}]: tracing changed the run");
         assert!(
             trace.stats.fetches > 0,
