@@ -29,6 +29,6 @@ pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
     );
     let _ = writeln!(out, "{}", report::mcpi_vs_latency_table(&sweep));
     let _ = writeln!(out, "{}", report::mcpi_vs_latency_chart(&sweep));
-    ctx.write_csv("fig15", &report::latency_sweep_csv(&sweep))?;
-    ctx.write_json("fig15", &report::latency_sweep_json(&sweep))
+    ctx.write_csv("fig15", &report::grid_csv(&sweep))?;
+    ctx.write_json("fig15", &report::grid_json(&sweep))
 }

@@ -26,8 +26,8 @@ pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
         "== Figure 18: MCPI vs miss penalty for tomcatv (latency 10) =="
     );
     let _ = writeln!(out, "{}", report::mcpi_vs_penalty_table(&sweep));
-    ctx.write_csv("fig18", &report::penalty_sweep_csv(&sweep))?;
-    ctx.write_json("fig18", &report::penalty_sweep_json(&sweep))?;
+    ctx.write_csv("fig18", &report::grid_csv(&sweep))?;
+    ctx.write_json("fig18", &report::grid_json(&sweep))?;
     // The paper's numbers, for side-by-side comparison.
     let _ = writeln!(out, "paper's Fig. 18 (same layout):");
     let _ = write!(out, "{:>14}", "config");

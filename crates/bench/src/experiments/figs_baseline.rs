@@ -8,7 +8,7 @@ use nbl_core::geometry::CacheGeometry;
 use nbl_mem::memory::PipelinedMemory;
 use nbl_sim::config::{HwConfig, SimConfig};
 use nbl_sim::report;
-use nbl_sim::sweep::LatencySweep;
+use nbl_sim::sweep::Grid;
 use std::io::Write;
 
 fn baseline() -> SimConfig {
@@ -18,7 +18,7 @@ fn baseline() -> SimConfig {
 /// The doduc baseline sweep behind Figs. 5, 7 and 8, simulated once per
 /// invocation and shared through the context — the compile cache would
 /// make a rerun cheap to build, but not to simulate (42 cells).
-fn doduc_sweep(ctx: &Ctx) -> Result<&LatencySweep, ExhibitError> {
+fn doduc_sweep(ctx: &Ctx) -> Result<&Grid, ExhibitError> {
     if let Some(sweep) = ctx.doduc_sweep.get() {
         return Ok(sweep);
     }
@@ -31,13 +31,13 @@ fn emit_sweep(
     out: &mut dyn Write,
     fig: &str,
     title: &str,
-    sweep: &LatencySweep,
+    sweep: &Grid,
 ) -> Result<(), ExhibitError> {
     let _ = writeln!(out, "== {title} ==");
     let _ = writeln!(out, "{}", report::mcpi_vs_latency_table(sweep));
     let _ = writeln!(out, "{}", report::mcpi_vs_latency_chart(sweep));
-    ctx.write_csv(fig, &report::latency_sweep_csv(sweep))?;
-    ctx.write_json(fig, &report::latency_sweep_json(sweep))
+    ctx.write_csv(fig, &report::grid_csv(sweep))?;
+    ctx.write_json(fig, &report::grid_json(sweep))
 }
 
 /// Fig. 5: baseline miss CPI for doduc (sweep shared with Figs. 7–8).

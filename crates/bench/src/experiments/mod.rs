@@ -22,7 +22,7 @@ pub mod replaymodel;
 pub mod replsens;
 
 use nbl_sim::config::{HwConfig, SimConfig};
-use nbl_sim::sweep::{LatencySweep, SweepEngine};
+use nbl_sim::sweep::{Grid, SweepEngine};
 use nbl_sim::telemetry::TelemetrySnapshot;
 use nbl_sim::{CacheStats, TapeStats};
 use nbl_trace::ir::Program;
@@ -221,7 +221,7 @@ pub struct Ctx {
     /// The artifact-store directory (`--store` or `NBL_STORE_DIR`).
     pub store_dir: Option<PathBuf>,
     /// The doduc baseline sweep behind Figs. 5, 7 and 8, simulated once.
-    doduc_sweep: OnceLock<LatencySweep>,
+    doduc_sweep: OnceLock<Grid>,
     /// Counters of engines that exhibits built for themselves.
     retired: Mutex<Counters>,
 }
@@ -326,11 +326,7 @@ impl Ctx {
     /// for one benchmark — the data behind Figs. 5–12 and 15–17. The 42
     /// cells run in parallel and the six compilations are shared with
     /// every other exhibit.
-    pub fn baseline_sweep(
-        &self,
-        name: &str,
-        base: &SimConfig,
-    ) -> Result<LatencySweep, ExhibitError> {
+    pub fn baseline_sweep(&self, name: &str, base: &SimConfig) -> Result<Grid, ExhibitError> {
         let p = program(name, self.scale)?;
         self.engine
             .latency_sweep(&p, base, &HwConfig::baseline_seven(), &LATENCIES)

@@ -11,8 +11,8 @@
 
 use super::{program, Ctx, ExhibitError, LATENCIES};
 use nbl_sim::config::{HwConfig, ProcessorKind, SimConfig};
+use nbl_sim::driver::RunResult;
 use nbl_sim::report;
-use nbl_sim::sweep::ModelSweep;
 use std::io::Write;
 
 /// Benchmark shown: eqntott, whose pointer-chasing loads exercise every
@@ -26,15 +26,13 @@ fn configs() -> Vec<HwConfig> {
     vec![HwConfig::Mc(1), HwConfig::Fc(2), HwConfig::NoRestrict]
 }
 
-/// Configuration labels ordered best-first (lowest MCPI) for `model` at
-/// the sweep's largest latency.
-fn ranking(sweep: &ModelSweep, model: &str) -> Option<Vec<String>> {
-    let m = sweep.models.iter().position(|x| x == model)?;
-    let i = sweep.latencies.len().checked_sub(1)?;
-    let row = &sweep.rows[m][i];
+/// Configuration labels ordered best-first (lowest MCPI) in one model's
+/// plane at the sweep's largest latency.
+fn ranking(configs: &[String], plane: &[Vec<RunResult>]) -> Option<Vec<String>> {
+    let row = plane.last()?;
     let mut order: Vec<usize> = (0..row.len()).collect();
     order.sort_by(|&a, &b| row[a].mcpi.total_cmp(&row[b].mcpi));
-    Some(order.iter().map(|&j| sweep.configs[j].clone()).collect())
+    Some(order.iter().map(|&j| configs[j].clone()).collect())
 }
 
 /// Prints the per-configuration model tables, the per-cause replay
@@ -52,11 +50,12 @@ pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
         out,
         "== Processor-model sensitivity: {BENCHMARK}, stalling vs replaying pipelines =="
     );
-    let _ = writeln!(out, "{}", report::model_mcpi_table(&sweep));
+    let _ = writeln!(out, "{}", report::plane_mcpi_table(&sweep));
     let _ = writeln!(out, "{}", report::replay_attribution_table(&sweep));
     let max_lat = LATENCIES[LATENCIES.len() - 1];
-    for model in &sweep.models {
-        if let Some(order) = ranking(&sweep, model) {
+    let labels = sweep.plane.iter().flat_map(|(_, labels)| labels);
+    for (model, plane) in labels.zip(&sweep.rows) {
+        if let Some(order) = ranking(&sweep.configs, plane) {
             let _ = writeln!(
                 out,
                 "ranking at lat={max_lat} [{model}]: {} (best first)",
@@ -65,6 +64,6 @@ pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
         }
     }
     let _ = writeln!(out);
-    ctx.write_csv("replaymodel", &report::model_sweep_csv(&sweep))?;
-    ctx.write_json("replaymodel", &report::model_sweep_json(&sweep))
+    ctx.write_csv("replaymodel", &report::grid_csv(&sweep))?;
+    ctx.write_json("replaymodel", &report::grid_json(&sweep))
 }

@@ -39,7 +39,7 @@ pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), ExhibitError> {
         out,
         "== Replacement-policy sensitivity: {BENCHMARK}, 4-way 8KB cache =="
     );
-    let _ = writeln!(out, "{}", report::replacement_mcpi_table(&sweep));
-    ctx.write_csv("replsens", &report::replacement_sweep_csv(&sweep))?;
-    ctx.write_json("replsens", &report::replacement_sweep_json(&sweep))
+    let _ = writeln!(out, "{}", report::plane_mcpi_table(&sweep));
+    ctx.write_csv("replsens", &report::grid_csv(&sweep))?;
+    ctx.write_json("replsens", &report::grid_json(&sweep))
 }

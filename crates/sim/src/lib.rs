@@ -8,9 +8,10 @@
 //! * [`driver`] — compile-and-run of one workload under one configuration,
 //!   producing a [`driver::RunResult`] with every metric the paper plots
 //!   (MCPI, stall breakdown, miss rates, in-flight histograms);
-//! * [`sweep`] — configuration × latency and configuration × penalty
-//!   sweeps with compilation shared across configurations, serially or on
-//!   the parallel [`sweep::SweepEngine`];
+//! * [`sweep`] — every sweep as one [`sweep::Grid`] (optional policy or
+//!   model plane × load latency or miss penalty × configuration), run by
+//!   the parallel [`sweep::SweepEngine`] on one fused row-span scheduler
+//!   with compilation shared across configurations;
 //! * [`pool`] — the scoped-thread job pool behind the parallel sweeps
 //!   (`NBL_THREADS` overrides the worker count);
 //! * [`compile_cache`] — exactly-once compilation per `(benchmark,
@@ -37,13 +38,13 @@ pub mod config;
 pub mod driver;
 /// Scoped-thread job pool with input-ordered placement for sweeps.
 pub mod pool;
-/// Fixed-width tables and hand-rolled JSON emitters for every exhibit.
+/// Fixed-width tables and the one CSV and one JSON grid emitter.
 pub mod report;
 /// The tiered artifact store: memory caches over a content-addressed,
 /// checksummed on-disk artifact directory.
 pub mod store;
-/// The parallel sweep engine (latency / penalty / grid / replacement /
-/// processor model).
+/// The one sweep shape ([`sweep::Grid`]) and the parallel engine that
+/// runs every sweep (latency / penalty / grid / replacement / model).
 pub mod sweep;
 /// Record-once/replay-many trace-tape cache beside the compile cache.
 pub mod tape_cache;
@@ -59,6 +60,6 @@ pub use driver::{
 };
 pub use pool::{available_threads, JobPanic, JobPool};
 pub use store::{ArtifactError, ArtifactStore, DiskTier, StoreSettings, StoreStats};
-pub use sweep::{LatencySweep, ModelSweep, PenaltySweep, SweepEngine};
+pub use sweep::{Grid, LatencySweep, SweepEngine};
 pub use tape_cache::{TapeCache, TapeStats};
 pub use telemetry::{Telemetry, TelemetrySnapshot};

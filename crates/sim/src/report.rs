@@ -1,78 +1,73 @@
 //! Plain-text rendering of sweep results in the shape of the paper's
-//! figures and tables.
+//! figures and tables, and the one CSV and one JSON emitter every
+//! [`Grid`] is written with.
 
 use crate::compile_cache::CacheStats;
 use crate::driver::RunResult;
 use crate::store::StoreStats;
-use crate::sweep::{LatencySweep, ModelSweep, PenaltySweep, ReplacementSweep};
+use crate::sweep::{Grid, LatencySweep, PlaneAxis, XAxis};
 use crate::tape_cache::TapeStats;
 use nbl_cpu::stats::ReplayAttribution;
 use nbl_mem::event::{MissLifecycleStats, ReplayCause, DEPTH_BUCKETS, FLIGHT_BUCKETS};
 use std::fmt::Write as _;
 
-/// Renders a latency sweep as a fixed-width table: one row per latency,
-/// one MCPI column per configuration (the data behind Figs. 5, 9–12,
-/// 15–17).
-pub fn mcpi_vs_latency_table(sweep: &LatencySweep) -> String {
+/// The first (for a plane-less grid, the only) plane of `grid`:
+/// `[x][config]`.
+fn first_plane(grid: &Grid) -> &[Vec<RunResult>] {
+    grid.rows.first().map_or(&[], Vec::as_slice)
+}
+
+/// A fixed-width table of the first plane: one row per x value, one
+/// 14-wide column per configuration, each cell rendered by `cell`.
+fn x_by_config_table(grid: &Grid, title: &str, cell: impl Fn(&RunResult) -> String) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "miss CPI vs scheduled load latency — {}",
-        sweep.benchmark
-    );
+    let _ = writeln!(out, "{title} — {}", grid.benchmark);
     let _ = write!(out, "{:>8}", "lat");
-    for c in &sweep.configs {
+    for c in &grid.configs {
         let _ = write!(out, "{c:>14}");
     }
     out.push('\n');
-    for (i, &lat) in sweep.latencies.iter().enumerate() {
-        let _ = write!(out, "{lat:>8}");
-        for r in &sweep.rows[i] {
-            let _ = write!(out, "{:>14.4}", r.mcpi);
+    for (x, row) in grid.xs.iter().zip(first_plane(grid)) {
+        let _ = write!(out, "{x:>8}");
+        for r in row {
+            let _ = write!(out, "{:>14}", cell(r));
         }
         out.push('\n');
     }
     out
+}
+
+/// Renders a latency sweep as a fixed-width table: one row per latency,
+/// one MCPI column per configuration (the data behind Figs. 5, 9–12,
+/// 15–17).
+pub fn mcpi_vs_latency_table(grid: &Grid) -> String {
+    x_by_config_table(grid, "miss CPI vs scheduled load latency", |r| {
+        format!("{:.4}", r.mcpi)
+    })
 }
 
 /// Renders the structural-stall share per latency (Fig. 7: "% MCPI due to
 /// structural hazard stalls").
-pub fn structural_share_table(sweep: &LatencySweep) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "%% MCPI from structural-hazard stalls — {}",
-        sweep.benchmark
-    );
-    let _ = write!(out, "{:>8}", "lat");
-    for c in &sweep.configs {
-        let _ = write!(out, "{c:>14}");
-    }
-    out.push('\n');
-    for (i, &lat) in sweep.latencies.iter().enumerate() {
-        let _ = write!(out, "{lat:>8}");
-        for r in &sweep.rows[i] {
-            let _ = write!(out, "{:>13.1}%", 100.0 * r.structural_fraction);
-        }
-        out.push('\n');
-    }
-    out
+pub fn structural_share_table(grid: &Grid) -> String {
+    x_by_config_table(grid, "%% MCPI from structural-hazard stalls", |r| {
+        format!("{:.1}%", 100.0 * r.structural_fraction)
+    })
 }
 
 /// Renders the load miss rates per latency (Fig. 8: primary+secondary and
 /// secondary-only).
-pub fn miss_rate_table(sweep: &LatencySweep) -> String {
+pub fn miss_rate_table(grid: &Grid) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "load miss rate (%% of loads) — {}", sweep.benchmark);
+    let _ = writeln!(out, "load miss rate (%% of loads) — {}", grid.benchmark);
     let _ = write!(out, "{:>8}", "lat");
-    for c in &sweep.configs {
+    for c in &grid.configs {
         let _ = write!(out, "{:>13}+s", c);
         let _ = write!(out, "{:>8}s", "");
     }
     out.push('\n');
-    for (i, &lat) in sweep.latencies.iter().enumerate() {
+    for (lat, row) in grid.xs.iter().zip(first_plane(grid)) {
         let _ = write!(out, "{lat:>8}");
-        for r in &sweep.rows[i] {
+        for r in row {
             let _ = write!(out, "{:>14.2}", 100.0 * r.load_miss_rate);
             let _ = write!(out, "{:>9.2}", 100.0 * r.secondary_miss_rate);
         }
@@ -132,17 +127,17 @@ pub fn fig13_row(benchmark: &str, results: &[RunResult]) -> String {
 
 /// Renders a penalty sweep as the Fig. 18 table: one row per
 /// configuration, one column per penalty.
-pub fn mcpi_vs_penalty_table(sweep: &PenaltySweep) -> String {
+pub fn mcpi_vs_penalty_table(grid: &Grid) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "miss CPI vs miss penalty — {}", sweep.benchmark);
+    let _ = writeln!(out, "miss CPI vs miss penalty — {}", grid.benchmark);
     let _ = write!(out, "{:>14}", "config");
-    for &p in &sweep.penalties {
+    for &p in &grid.xs {
         let _ = write!(out, "{p:>10}");
     }
     out.push('\n');
-    for (j, c) in sweep.configs.iter().enumerate() {
+    for (j, c) in grid.configs.iter().enumerate() {
         let _ = write!(out, "{c:>14}");
-        for row in &sweep.rows {
+        for row in first_plane(grid) {
             let _ = write!(out, "{:>10.3}", row[j].mcpi);
         }
         out.push('\n');
@@ -154,32 +149,33 @@ pub fn mcpi_vs_penalty_table(sweep: &PenaltySweep) -> String {
 /// figures: MCPI on the y axis, scheduled load latency on the x axis, one
 /// letter per configuration (see the legend below the plot). Points that
 /// coincide are drawn as `*`.
-pub fn mcpi_vs_latency_chart(sweep: &LatencySweep) -> String {
+pub fn mcpi_vs_latency_chart(grid: &Grid) -> String {
     const HEIGHT: usize = 18;
+    let rows = first_plane(grid);
     let mut max = f64::MIN;
     let mut min = f64::MAX;
-    for row in &sweep.rows {
+    for row in rows {
         for r in row {
             max = max.max(r.mcpi);
             min = min.min(r.mcpi);
         }
     }
-    if !max.is_finite() || !min.is_finite() || sweep.rows.is_empty() {
+    if !max.is_finite() || !min.is_finite() || rows.is_empty() {
         return String::new();
     }
     if (max - min).abs() < 1e-12 {
         max = min + 1.0;
     }
     let col_width = 6;
-    let width = sweep.latencies.len() * col_width;
-    let mut grid = vec![vec![' '; width]; HEIGHT];
-    for (i, _) in sweep.latencies.iter().enumerate() {
-        for (j, _) in sweep.configs.iter().enumerate() {
-            let m = sweep.rows[i][j].mcpi;
+    let width = grid.xs.len() * col_width;
+    let mut canvas = vec![vec![' '; width]; HEIGHT];
+    for (i, _) in grid.xs.iter().enumerate() {
+        for (j, _) in grid.configs.iter().enumerate() {
+            let m = rows[i][j].mcpi;
             let y = ((max - m) / (max - min) * (HEIGHT - 1) as f64).round() as usize;
             let x = i * col_width + col_width / 2;
             let symbol = (b'a' + (j % 26) as u8) as char;
-            let cell = &mut grid[y.min(HEIGHT - 1)][x];
+            let cell = &mut canvas[y.min(HEIGHT - 1)][x];
             *cell = if *cell == ' ' { symbol } else { '*' };
         }
     }
@@ -187,19 +183,19 @@ pub fn mcpi_vs_latency_chart(sweep: &LatencySweep) -> String {
     let _ = writeln!(
         out,
         "miss CPI vs load latency — {} (letters = configs)",
-        sweep.benchmark
+        grid.benchmark
     );
-    for (y, row) in grid.iter().enumerate() {
+    for (y, row) in canvas.iter().enumerate() {
         let label = max - (max - min) * y as f64 / (HEIGHT - 1) as f64;
         let line: String = row.iter().collect();
         let _ = writeln!(out, "{label:>8.3} |{}", line.trim_end());
     }
     let _ = write!(out, "{:>8}  ", "");
-    for lat in &sweep.latencies {
+    for lat in &grid.xs {
         let _ = write!(out, "{lat:^col_width$}");
     }
     out.push('\n');
-    for (j, c) in sweep.configs.iter().enumerate() {
+    for (j, c) in grid.configs.iter().enumerate() {
         let _ = writeln!(out, "{:>10} = {}", (b'a' + (j % 26) as u8) as char, c);
     }
     out
@@ -214,84 +210,60 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-/// Serializes a latency sweep as CSV: one row per latency, one MCPI column
-/// per configuration — ready for external plotting.
-pub fn latency_sweep_csv(sweep: &LatencySweep) -> String {
-    let mut out = String::from("load_latency");
-    for c in &sweep.configs {
-        let _ = write!(out, ",{}", csv_field(c));
+/// The CSV column, JSON key and plane-less JSON `kind` of a grid's x
+/// axis.
+fn x_names(axis: XAxis) -> [&'static str; 3] {
+    match axis {
+        XAxis::LoadLatency => ["load_latency", "load_latencies", "latency_sweep"],
+        XAxis::MissPenalty => ["miss_penalty", "miss_penalties", "penalty_sweep"],
     }
-    out.push('\n');
-    for (i, lat) in sweep.latencies.iter().enumerate() {
-        let _ = write!(out, "{lat}");
-        for r in &sweep.rows[i] {
-            let _ = write!(out, ",{:.6}", r.mcpi);
-        }
-        out.push('\n');
-    }
-    out
 }
 
-/// Serializes a penalty sweep as CSV: one row per penalty, one MCPI column
-/// per configuration.
-pub fn penalty_sweep_csv(sweep: &PenaltySweep) -> String {
-    let mut out = String::from("miss_penalty");
-    for c in &sweep.configs {
-        let _ = write!(out, ",{}", csv_field(c));
+/// The CSV column, JSON key, table noun and JSON `kind` of a grid's plane
+/// axis.
+fn plane_names(axis: PlaneAxis) -> [&'static str; 4] {
+    match axis {
+        PlaneAxis::Policy => [
+            "policy",
+            "policies",
+            "replacement policy",
+            "replacement_sweep",
+        ],
+        PlaneAxis::Model => ["model", "models", "processor model", "model_sweep"],
     }
-    out.push('\n');
-    for (i, pen) in sweep.penalties.iter().enumerate() {
-        let _ = write!(out, "{pen}");
-        for r in &sweep.rows[i] {
-            let _ = write!(out, ",{:.6}", r.mcpi);
-        }
-        out.push('\n');
-    }
-    out
 }
 
-/// Renders a replacement sweep as one fixed-width table per MSHR
-/// configuration: rows are load latencies, columns are policies — the
-/// layout that makes the policy spread at each operating point visible
-/// at a glance.
-pub fn replacement_mcpi_table(sweep: &ReplacementSweep) -> String {
-    let mut out = String::new();
-    for (j, config) in sweep.configs.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "miss CPI by replacement policy — {} [{config}]",
-            sweep.benchmark
-        );
-        let _ = write!(out, "{:>8}", "lat");
-        for p in &sweep.policies {
-            let _ = write!(out, "{p:>12}");
+/// Serializes a grid as CSV for external plotting. A plane-less grid
+/// takes the wide layout: one row per x value, one MCPI column per
+/// configuration. A planed grid takes the long layout
+/// `policy|model,config,load_latency,mcpi,cycles`, one row per cell (the
+/// layout the verify-script golden diffs read).
+pub fn grid_csv(grid: &Grid) -> String {
+    let [x_col, ..] = x_names(grid.x_axis);
+    let Some((axis, planes)) = &grid.plane else {
+        let mut out = String::from(x_col);
+        for c in &grid.configs {
+            let _ = write!(out, ",{}", csv_field(c));
         }
         out.push('\n');
-        for (i, &lat) in sweep.latencies.iter().enumerate() {
-            let _ = write!(out, "{lat:>8}");
-            for plane in &sweep.rows {
-                let _ = write!(out, "{:>12.4}", plane[i][j].mcpi);
+        for (x, row) in grid.xs.iter().zip(first_plane(grid)) {
+            let _ = write!(out, "{x}");
+            for r in row {
+                let _ = write!(out, ",{:.6}", r.mcpi);
             }
             out.push('\n');
         }
-        out.push('\n');
-    }
-    out
-}
-
-/// Serializes a replacement sweep as long-format CSV —
-/// `policy,config,load_latency,mcpi,cycles` — one row per cell, the
-/// format external plotting (and the verify-script golden diff) wants.
-pub fn replacement_sweep_csv(sweep: &ReplacementSweep) -> String {
-    let mut out = String::from("policy,config,load_latency,mcpi,cycles\n");
-    for (p, policy) in sweep.policies.iter().enumerate() {
-        for (i, &lat) in sweep.latencies.iter().enumerate() {
-            for (j, config) in sweep.configs.iter().enumerate() {
-                let r = &sweep.rows[p][i][j];
+        return out;
+    };
+    let [plane_col, ..] = plane_names(*axis);
+    let mut out = format!("{plane_col},config,{x_col},mcpi,cycles\n");
+    for (label, plane) in planes.iter().zip(&grid.rows) {
+        for (x, row) in grid.xs.iter().zip(plane) {
+            for (config, r) in grid.configs.iter().zip(row) {
                 let _ = writeln!(
                     out,
-                    "{},{},{lat},{:.6},{}",
-                    csv_field(policy),
+                    "{},{},{x},{:.6},{}",
+                    csv_field(label),
                     csv_field(config),
                     r.mcpi,
                     r.cycles
@@ -302,26 +274,31 @@ pub fn replacement_sweep_csv(sweep: &ReplacementSweep) -> String {
     out
 }
 
-/// Renders a model sweep as one fixed-width table per MSHR configuration:
-/// rows are load latencies, columns are processor models — the layout
-/// that shows whether the pipeline's reaction to a miss (stall vs.
-/// replay) changes each configuration's standing.
-pub fn model_mcpi_table(sweep: &ModelSweep) -> String {
+/// [`grid_csv`] of one [`LatencySweep`].
+pub fn latency_sweep_csv(sweep: &LatencySweep) -> String {
+    grid_csv(&sweep.clone().into())
+}
+
+/// Renders a planed grid as one fixed-width table per MSHR
+/// configuration: rows are x values, columns are planes — the layout that
+/// shows at a glance how the policy (or processor model) shifts each
+/// operating point. Empty for a plane-less grid.
+pub fn plane_mcpi_table(grid: &Grid) -> String {
     let mut out = String::new();
-    for (j, config) in sweep.configs.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "miss CPI by processor model — {} [{config}]",
-            sweep.benchmark
-        );
+    let Some((axis, planes)) = &grid.plane else {
+        return out;
+    };
+    let [.., noun, _] = plane_names(*axis);
+    for (j, config) in grid.configs.iter().enumerate() {
+        let _ = writeln!(out, "miss CPI by {noun} — {} [{config}]", grid.benchmark);
         let _ = write!(out, "{:>8}", "lat");
-        for m in &sweep.models {
-            let _ = write!(out, "{m:>12}");
+        for p in planes {
+            let _ = write!(out, "{p:>12}");
         }
         out.push('\n');
-        for (i, &lat) in sweep.latencies.iter().enumerate() {
-            let _ = write!(out, "{lat:>8}");
-            for plane in &sweep.rows {
+        for (i, &x) in grid.xs.iter().enumerate() {
+            let _ = write!(out, "{x:>8}");
+            for plane in &grid.rows {
                 let _ = write!(out, "{:>12.4}", plane[i][j].mcpi);
             }
             out.push('\n');
@@ -331,14 +308,16 @@ pub fn model_mcpi_table(sweep: &ModelSweep) -> String {
     out
 }
 
-/// Renders the per-cause replay attribution of a model sweep's replaying
-/// plane: one row per `(latency, configuration)` cell, one
-/// `count/stall-cycles` column pair per replay cause. Planes whose model
-/// never replays (the stalling pipelines) are skipped.
-pub fn replay_attribution_table(sweep: &ModelSweep) -> String {
+/// Renders the per-cause replay attribution of a planed grid: for each
+/// plane whose runs replay, one row per `(x, configuration)` cell and one
+/// `count/stall-cycles` column pair per replay cause. Planes that never
+/// replay (the stalling pipelines) are skipped.
+pub fn replay_attribution_table(grid: &Grid) -> String {
     let mut out = String::new();
-    for (m, model) in sweep.models.iter().enumerate() {
-        let plane = &sweep.rows[m];
+    let Some((_, planes)) = &grid.plane else {
+        return out;
+    };
+    for (label, plane) in planes.iter().zip(&grid.rows) {
         if plane
             .iter()
             .flatten()
@@ -348,18 +327,17 @@ pub fn replay_attribution_table(sweep: &ModelSweep) -> String {
         }
         let _ = writeln!(
             out,
-            "replay causes (count / stall cycles) — {} [{model}]",
-            sweep.benchmark
+            "replay causes (count / stall cycles) — {} [{label}]",
+            grid.benchmark
         );
         let _ = write!(out, "{:>4} {:>14}", "lat", "config");
         for cause in ReplayCause::ALL {
             let _ = write!(out, "{:>20}", cause.label());
         }
         out.push('\n');
-        for (i, &lat) in sweep.latencies.iter().enumerate() {
-            for (j, config) in sweep.configs.iter().enumerate() {
-                let r = &plane[i][j];
-                let _ = write!(out, "{lat:>4} {config:>14}");
+        for (x, row) in grid.xs.iter().zip(plane) {
+            for (config, r) in grid.configs.iter().zip(row) {
+                let _ = write!(out, "{x:>4} {config:>14}");
                 for cause in ReplayCause::ALL {
                     let cell = format!("{}/{}", r.replay.count(cause), r.replay.stalls(cause));
                     let _ = write!(out, "{cell:>20}");
@@ -368,29 +346,6 @@ pub fn replay_attribution_table(sweep: &ModelSweep) -> String {
             }
         }
         out.push('\n');
-    }
-    out
-}
-
-/// Serializes a model sweep as long-format CSV —
-/// `model,config,load_latency,mcpi,cycles` — one row per cell, the format
-/// external plotting (and the verify-script golden diff) wants.
-pub fn model_sweep_csv(sweep: &ModelSweep) -> String {
-    let mut out = String::from("model,config,load_latency,mcpi,cycles\n");
-    for (m, model) in sweep.models.iter().enumerate() {
-        for (i, &lat) in sweep.latencies.iter().enumerate() {
-            for (j, config) in sweep.configs.iter().enumerate() {
-                let r = &sweep.rows[m][i][j];
-                let _ = writeln!(
-                    out,
-                    "{},{},{lat},{:.6},{}",
-                    csv_field(model),
-                    csv_field(config),
-                    r.mcpi,
-                    r.cycles
-                );
-            }
-        }
     }
     out
 }
@@ -586,136 +541,44 @@ pub fn caches_json(compile: &CacheStats, tape: &TapeStats, store: &StoreStats) -
     )
 }
 
-fn sweep_json(
-    kind: &str,
-    benchmark: &str,
-    axis_name: &str,
-    axis: &[u32],
-    configs: &[String],
-    rows: &[Vec<RunResult>],
-) -> String {
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"kind\":{},\"benchmark\":{},\"configs\":[",
+/// Serializes a grid as one JSON document: `kind`, `benchmark`, the
+/// plane labels (`policies` or `models`, planed grids only), `configs`,
+/// the x values (`load_latencies` or `miss_penalties`), then every
+/// [`RunResult`] under `runs`, plane-major, then x, then configuration.
+pub fn grid_json(grid: &Grid) -> String {
+    let labels = |xs: &[String]| {
+        let body: Vec<String> = xs.iter().map(|x| json_str(x)).collect();
+        format!("[{}]", body.join(","))
+    };
+    let [_, x_key, x_kind] = x_names(grid.x_axis);
+    let (kind, planes) = match &grid.plane {
+        None => (x_kind, String::new()),
+        Some((axis, planes)) => {
+            let [_, key, _, kind] = plane_names(*axis);
+            (kind, format!("\"{key}\":{},", labels(planes)))
+        }
+    };
+    let xs: Vec<u64> = grid.xs.iter().map(|&v| u64::from(v)).collect();
+    let runs: Vec<String> = grid
+        .rows
+        .iter()
+        .flatten()
+        .flatten()
+        .map(run_result_json)
+        .collect();
+    format!(
+        "{{\"kind\":{},\"benchmark\":{},{planes}\"configs\":{},\"{x_key}\":{},\"runs\":[{}]}}",
         json_str(kind),
-        json_str(benchmark)
-    );
-    for (j, c) in configs.iter().enumerate() {
-        if j > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_str(c));
-    }
-    let _ = write!(
-        out,
-        "],\"{axis_name}\":{},\"runs\":[",
-        json_u64_array(&axis.iter().map(|&v| u64::from(v)).collect::<Vec<_>>())
-    );
-    let mut first = true;
-    for row in rows {
-        for r in row {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&run_result_json(r));
-        }
-    }
-    out.push_str("]}");
-    out
+        json_str(&grid.benchmark),
+        labels(&grid.configs),
+        json_u64_array(&xs),
+        runs.join(",")
+    )
 }
 
-/// Serializes a latency sweep as one JSON document: the axes plus every
-/// [`RunResult`] (row-major, latencies × configurations).
+/// [`grid_json`] of one [`LatencySweep`].
 pub fn latency_sweep_json(sweep: &LatencySweep) -> String {
-    sweep_json(
-        "latency_sweep",
-        &sweep.benchmark,
-        "load_latencies",
-        &sweep.latencies,
-        &sweep.configs,
-        &sweep.rows,
-    )
-}
-
-/// Serializes a penalty sweep as one JSON document (row-major, penalties ×
-/// configurations).
-pub fn penalty_sweep_json(sweep: &PenaltySweep) -> String {
-    sweep_json(
-        "penalty_sweep",
-        &sweep.benchmark,
-        "miss_penalties",
-        &sweep.penalties,
-        &sweep.configs,
-        &sweep.rows,
-    )
-}
-
-/// Serializes a replacement sweep as one JSON document: the three axes
-/// (policies, configs, latencies) plus every [`RunResult`], flattened in
-/// policy-major, then latency, then configuration order.
-pub fn replacement_sweep_json(sweep: &ReplacementSweep) -> String {
-    let labels = |xs: &[String]| {
-        let body: Vec<String> = xs.iter().map(|x| json_str(x)).collect();
-        format!("[{}]", body.join(","))
-    };
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"kind\":\"replacement_sweep\",\"benchmark\":{},\"policies\":{},\"configs\":{},\"load_latencies\":{},\"runs\":[",
-        json_str(&sweep.benchmark),
-        labels(&sweep.policies),
-        labels(&sweep.configs),
-        json_u64_array(&sweep.latencies.iter().map(|&v| u64::from(v)).collect::<Vec<_>>()),
-    );
-    let mut first = true;
-    for plane in &sweep.rows {
-        for row in plane {
-            for r in row {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&run_result_json(r));
-            }
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Serializes a model sweep as one JSON document: the three axes (models,
-/// configs, latencies) plus every [`RunResult`], flattened in model-major,
-/// then latency, then configuration order.
-pub fn model_sweep_json(sweep: &ModelSweep) -> String {
-    let labels = |xs: &[String]| {
-        let body: Vec<String> = xs.iter().map(|x| json_str(x)).collect();
-        format!("[{}]", body.join(","))
-    };
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"kind\":\"model_sweep\",\"benchmark\":{},\"models\":{},\"configs\":{},\"load_latencies\":{},\"runs\":[",
-        json_str(&sweep.benchmark),
-        labels(&sweep.models),
-        labels(&sweep.configs),
-        json_u64_array(&sweep.latencies.iter().map(|&v| u64::from(v)).collect::<Vec<_>>()),
-    );
-    let mut first = true;
-    for plane in &sweep.rows {
-        for row in plane {
-            for r in row {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&run_result_json(r));
-            }
-        }
-    }
-    out.push_str("]}");
-    out
+    grid_json(&sweep.clone().into())
 }
 
 /// Serializes a miss-lifecycle summary as a JSON object.
@@ -756,7 +619,7 @@ mod tests {
     use crate::sweep::SweepEngine;
     use nbl_trace::workloads::{build, Scale};
 
-    fn tiny_sweep() -> LatencySweep {
+    fn tiny_sweep() -> Grid {
         let p = build("eqntott", Scale::quick()).unwrap();
         SweepEngine::new(1)
             .latency_sweep(
@@ -782,12 +645,11 @@ mod tests {
         let s = tiny_sweep();
         assert!(structural_share_table(&s).contains('%'));
         assert!(miss_rate_table(&s).contains("eqntott"));
-        let rows: Vec<(u32, &RunResult)> = s
-            .latencies
-            .iter()
-            .copied()
-            .zip(s.rows.iter().map(|r| &r[1]))
-            .collect();
+        let rows: Vec<(u32, &RunResult)> =
+            s.xs.iter()
+                .copied()
+                .zip(s.rows[0].iter().map(|r| &r[1]))
+                .collect();
         let t = inflight_table("eqntott", &rows);
         assert!(t.contains("fetches"));
     }
@@ -795,7 +657,7 @@ mod tests {
     #[test]
     fn fig13_row_shows_ratios() {
         let s = tiny_sweep();
-        let row = fig13_row("eqntott", &s.rows[1]);
+        let row = fig13_row("eqntott", &s.rows[0][1]);
         assert!(row.contains("eqntott"));
         // one (mcpi, ratio) pair + the unrestricted column = 3 numbers.
         assert_eq!(row.split_whitespace().count(), 4);
@@ -822,14 +684,14 @@ mod tests {
     #[test]
     fn csv_roundtrips_the_numbers() {
         let s = tiny_sweep();
-        let csv = latency_sweep_csv(&s);
+        let csv = grid_csv(&s);
         let mut lines = csv.lines();
         assert_eq!(lines.next().unwrap(), "load_latency,mc=0,no restrict");
         let row: Vec<&str> = lines.next().unwrap().split(',').collect();
         assert_eq!(row[0], "1");
         let parsed: f64 = row[1].parse().unwrap();
-        assert!((parsed - s.rows[0][0].mcpi).abs() < 1e-6);
-        assert_eq!(csv.lines().count(), 1 + s.latencies.len());
+        assert!((parsed - s.rows[0][0][0].mcpi).abs() < 1e-6);
+        assert_eq!(csv.lines().count(), 1 + s.xs.len());
     }
 
     #[test]
@@ -850,15 +712,21 @@ mod tests {
                 &[8, 16],
             )
             .unwrap();
-        let csv = penalty_sweep_csv(&s);
+        let csv = grid_csv(&s);
         assert!(csv.starts_with("miss_penalty,mc=0"));
         assert_eq!(csv.lines().count(), 3);
+        let doc = grid_json(&s);
+        assert!(
+            doc.starts_with("{\"kind\":\"penalty_sweep\",\"benchmark\":\"eqntott\",\"configs\"")
+        );
+        assert!(doc.contains("\"miss_penalties\":[8,16],\"runs\":["));
+        assert_eq!(doc.matches("\"mcpi\":").count(), 2);
     }
 
     #[test]
     fn json_emitters_are_well_formed() {
         let s = tiny_sweep();
-        let doc = latency_sweep_json(&s);
+        let doc = grid_json(&s);
         assert!(doc.starts_with("{\"kind\":\"latency_sweep\""));
         assert!(doc.contains("\"benchmark\":\"eqntott\""));
         assert!(doc.contains("\"load_latencies\":[1,10]"));
@@ -866,11 +734,21 @@ mod tests {
         assert_eq!(doc.matches("\"mcpi\":").count(), 4);
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
 
-        let one = run_result_json(&s.rows[0][0]);
+        let one = run_result_json(&s.rows[0][0][0]);
         assert!(one.contains("\"config\":\"mc=0\""));
         assert_eq!(one.matches('{').count(), one.matches('}').count());
 
         assert_eq!(json_str("say \"hi\"\n"), "\"say \\\"hi\\\"\\n\"");
+
+        // The `LatencySweep` emitters are the grid emitters.
+        let sweep = LatencySweep {
+            benchmark: s.benchmark.clone(),
+            configs: s.configs.clone(),
+            latencies: s.xs.clone(),
+            rows: s.rows[0].clone(),
+        };
+        assert_eq!(latency_sweep_json(&sweep), doc);
+        assert_eq!(latency_sweep_csv(&sweep), grid_csv(&s));
         assert_eq!(json_f64(f64::NAN), "null");
     }
 
@@ -891,11 +769,12 @@ mod tests {
                 &[1, 10],
             )
             .unwrap();
-        let table = replacement_mcpi_table(&s);
+        let table = plane_mcpi_table(&s);
+        assert!(table.contains("miss CPI by replacement policy — eqntott [mc=1]"));
         assert!(table.contains("[mc=1]") && table.contains("[no restrict]"));
         assert!(table.contains("lru") && table.contains("fifo"));
 
-        let csv = replacement_sweep_csv(&s);
+        let csv = grid_csv(&s);
         let mut lines = csv.lines();
         assert_eq!(
             lines.next().unwrap(),
@@ -905,9 +784,11 @@ mod tests {
         assert!(csv.contains("lru,mc=1,1,"));
         assert!(csv.contains("fifo,no restrict,10,"));
 
-        let doc = replacement_sweep_json(&s);
-        assert!(doc.starts_with("{\"kind\":\"replacement_sweep\""));
-        assert!(doc.contains("\"policies\":[\"lru\",\"fifo\"]"));
+        let doc = grid_json(&s);
+        assert!(doc.starts_with(
+            "{\"kind\":\"replacement_sweep\",\"benchmark\":\"eqntott\",\"policies\":[\"lru\",\"fifo\"],\"configs\":"
+        ));
+        assert!(doc.contains("\"load_latencies\":[1,10],\"runs\":["));
         assert!(doc.contains("\"replacement\":\"fifo\""));
         assert_eq!(doc.matches("\"mcpi\":").count(), 8);
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
@@ -928,7 +809,8 @@ mod tests {
                 &[1, 10],
             )
             .unwrap();
-        let table = model_mcpi_table(&s);
+        let table = plane_mcpi_table(&s);
+        assert!(table.contains("miss CPI by processor model — eqntott [mc=1]"));
         assert!(table.contains("[mc=1]") && table.contains("[no restrict]"));
         assert!(table.contains("single") && table.contains("replay"));
 
@@ -939,7 +821,7 @@ mod tests {
             assert!(causes.contains(cause.label()), "missing {}", cause.label());
         }
 
-        let csv = model_sweep_csv(&s);
+        let csv = grid_csv(&s);
         let mut lines = csv.lines();
         assert_eq!(
             lines.next().unwrap(),
@@ -949,7 +831,7 @@ mod tests {
         assert!(csv.contains("single,mc=1,1,"));
         assert!(csv.contains("replay,no restrict,10,"));
 
-        let doc = model_sweep_json(&s);
+        let doc = grid_json(&s);
         assert!(doc.starts_with("{\"kind\":\"model_sweep\""));
         assert!(doc.contains("\"models\":[\"single\",\"replay\"]"));
         assert!(doc.contains("\"model\":\"replay\""));

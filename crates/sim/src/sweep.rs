@@ -1,6 +1,6 @@
-//! Parameter sweeps: the experiment shapes the paper's figures are built
-//! from (configurations × load latencies, configurations × miss penalties,
-//! benchmarks × configurations).
+//! Parameter sweeps. Every exhibit of the paper is a [`Grid`]: an
+//! optional plane axis (replacement policy or processor model) × an x
+//! axis (load latency or miss penalty) × hardware configurations.
 //!
 //! Compilation is shared across hardware configurations — the compiled
 //! program depends only on the load latency, so each (benchmark, latency)
@@ -9,7 +9,7 @@
 
 use crate::compile_cache::CompileCache;
 use crate::config::{HwConfig, ProcessorKind, SimConfig};
-use crate::driver::{run_tape, run_tape_fused, RunResult, SimError};
+use crate::driver::{run_tape_fused, RunResult, SimError};
 use crate::pool::JobPool;
 use crate::store::{program_fingerprint, result_fingerprint, ArtifactStore};
 use crate::tape_cache::TapeCache;
@@ -19,8 +19,63 @@ use nbl_trace::ir::Program;
 use nbl_trace::tape::TraceTape;
 use std::sync::{Arc, OnceLock};
 
-/// MCPI-vs-load-latency curves for one benchmark (the shape of Figs. 5,
-/// 9–12, 15–17).
+/// What a grid's x axis varies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum XAxis {
+    /// The scheduled load latency (Figs. 5, 9–17): one compiled program
+    /// per value.
+    LoadLatency,
+    /// The miss penalty at the base load latency (Fig. 18): one compiled
+    /// program for every value.
+    MissPenalty,
+}
+
+/// What a grid's plane axis varies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlaneAxis {
+    /// The replacement policy (the `figures replsens` exhibit).
+    Policy,
+    /// The processor model (the `figures replaymodel` exhibit).
+    Model,
+}
+
+/// The result of one sweep over one benchmark: planes × x values ×
+/// configurations.
+#[derive(Debug, Clone)]
+pub struct Grid {
+    /// Benchmark name.
+    pub benchmark: String,
+    /// The plane axis and its labels in input order; `None` for a
+    /// plane-less grid, whose `rows` hold exactly one plane.
+    pub plane: Option<(PlaneAxis, Vec<String>)>,
+    /// What the x axis varies.
+    pub x_axis: XAxis,
+    /// The x values swept, in input order.
+    pub xs: Vec<u32>,
+    /// Configuration labels, in input order.
+    pub configs: Vec<String>,
+    /// `rows[p][i][j]` = result in plane `p` at `xs[i]` under
+    /// `configs[j]`.
+    pub rows: Vec<Vec<Vec<RunResult>>>,
+}
+
+impl Grid {
+    /// Result lookup by plane label (`None` on a plane-less grid),
+    /// configuration label and x value.
+    pub fn at(&self, plane: Option<&str>, config: &str, x: u32) -> Option<&RunResult> {
+        let p = match (&self.plane, plane) {
+            (None, None) => 0,
+            (Some((_, labels)), Some(label)) => labels.iter().position(|l| l == label)?,
+            _ => return None,
+        };
+        let i = self.xs.iter().position(|&v| v == x)?;
+        let j = self.configs.iter().position(|c| c == config)?;
+        self.rows.get(p)?.get(i)?.get(j)
+    }
+}
+
+/// One benchmark's slice of [`SweepEngine::grid_sweep`]: MCPI-vs-load-
+/// latency curves in the plane-less [`Grid`] layout.
 #[derive(Debug, Clone)]
 pub struct LatencySweep {
     /// Benchmark name.
@@ -33,103 +88,33 @@ pub struct LatencySweep {
     pub rows: Vec<Vec<RunResult>>,
 }
 
-impl LatencySweep {
-    /// The MCPI curve (over latency) of configuration index `j`.
-    pub fn curve(&self, j: usize) -> Vec<f64> {
-        self.rows.iter().map(|r| r[j].mcpi).collect()
-    }
-
-    /// Result lookup by configuration label and latency.
-    pub fn at(&self, config: &str, latency: u32) -> Option<&RunResult> {
-        let j = self.configs.iter().position(|c| c == config)?;
-        let i = self.latencies.iter().position(|&l| l == latency)?;
-        Some(&self.rows[i][j])
-    }
-}
-
-/// MCPI-vs-miss-penalty table for one benchmark at a fixed latency
-/// (Fig. 18's shape).
-#[derive(Debug, Clone)]
-pub struct PenaltySweep {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Configuration labels.
-    pub configs: Vec<String>,
-    /// Penalties swept.
-    pub penalties: Vec<u32>,
-    /// `rows[i][j]` = result at `penalties[i]` under `configs[j]`.
-    pub rows: Vec<Vec<RunResult>>,
-}
-
-impl PenaltySweep {
-    /// Result lookup by configuration label and penalty.
-    pub fn at(&self, config: &str, penalty: u32) -> Option<&RunResult> {
-        let j = self.configs.iter().position(|c| c == config)?;
-        let i = self.penalties.iter().position(|&p| p == penalty)?;
-        Some(&self.rows[i][j])
+impl From<LatencySweep> for Grid {
+    fn from(s: LatencySweep) -> Grid {
+        Grid {
+            benchmark: s.benchmark,
+            plane: None,
+            x_axis: XAxis::LoadLatency,
+            xs: s.latencies,
+            configs: s.configs,
+            rows: vec![s.rows],
+        }
     }
 }
 
-/// Replacement-policy sensitivity grid for one benchmark: policy × MSHR
-/// configuration × load latency (the `figures replsens` exhibit).
-#[derive(Debug, Clone)]
-pub struct ReplacementSweep {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Policy labels, in input order.
-    pub policies: Vec<String>,
-    /// Configuration labels.
-    pub configs: Vec<String>,
-    /// Latencies swept.
-    pub latencies: Vec<u32>,
-    /// `rows[p][i][j]` = result under `policies[p]` at `latencies[i]`
-    /// under `configs[j]`.
-    pub rows: Vec<Vec<Vec<RunResult>>>,
+/// One fused row of a sweep: configurations sharing one load latency
+/// (any mix of hardware, penalty, policy and model), replayed on the tape
+/// of `programs[program]`.
+struct Row {
+    program: usize,
+    cfgs: Vec<SimConfig>,
 }
 
-impl ReplacementSweep {
-    /// Result lookup by policy label, configuration label and latency.
-    pub fn at(&self, policy: &str, config: &str, latency: u32) -> Option<&RunResult> {
-        let p = self.policies.iter().position(|x| x == policy)?;
-        let j = self.configs.iter().position(|c| c == config)?;
-        let i = self.latencies.iter().position(|&l| l == latency)?;
-        Some(&self.rows[p][i][j])
-    }
-}
-
-/// Processor-model sensitivity grid for one benchmark: model × MSHR
-/// configuration × load latency (the `figures replaymodel` exhibit).
-#[derive(Debug, Clone)]
-pub struct ModelSweep {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Processor-model labels, in input order.
-    pub models: Vec<String>,
-    /// Configuration labels.
-    pub configs: Vec<String>,
-    /// Latencies swept.
-    pub latencies: Vec<u32>,
-    /// `rows[m][i][j]` = result under `models[m]` at `latencies[i]`
-    /// under `configs[j]`.
-    pub rows: Vec<Vec<Vec<RunResult>>>,
-}
-
-impl ModelSweep {
-    /// Result lookup by model label, configuration label and latency.
-    pub fn at(&self, model: &str, config: &str, latency: u32) -> Option<&RunResult> {
-        let m = self.models.iter().position(|x| x == model)?;
-        let j = self.configs.iter().position(|c| c == config)?;
-        let i = self.latencies.iter().position(|&l| l == latency)?;
-        Some(&self.rows[m][i][j])
-    }
-}
-
-/// One fusion-aware scheduling unit: configurations `lo..hi` of fused
-/// row `row` (a `(program, latency)` pair). Produced by
-/// [`plan_row_spans`]; each span replays its slice in one fused walk.
+/// One scheduling unit: configurations `lo..hi` of row `row`, replayed in
+/// one fused walk. Produced by [`plan_row_spans`] (or one per row, or one
+/// per configuration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RowSpan {
-    /// Flat row index (`program_index * latencies.len() + latency_index`).
+    /// Row index.
     row: usize,
     /// First configuration index of the slice (inclusive).
     lo: usize,
@@ -185,21 +170,29 @@ fn span_claim_order(spans: &[RowSpan], weights: &[u64]) -> Vec<usize> {
     order
 }
 
+/// `base` with its hardware configuration replaced by `hw`.
+fn on(base: &SimConfig, hw: &HwConfig) -> SimConfig {
+    SimConfig {
+        hw: hw.clone(),
+        ..base.clone()
+    }
+}
+
 /// The parallel sweep engine: a [`JobPool`], an [`ArtifactStore`] (the
 /// memory-tier [`CompileCache`] and [`TapeCache`], optionally backed by
 /// the content-addressed disk tier) and the [`Telemetry`] of the cells it
 /// simulates. All state is the engine's own: two engines share no caches
 /// and no counters.
 ///
-/// Sweeps flatten their `(benchmark, latency, configuration)` grids into a
-/// single pool invocation; each cell fetches its compiled program from the
-/// compile cache (compiled exactly once per `(benchmark, latency)` pair)
-/// and the recorded tape through the store's tiers (the dynamic stream is
-/// materialized exactly once per pair — decoded from disk when a prior
-/// process persisted it), then replays the tape under its own hardware
-/// configuration — record once, replay at every grid point. With a disk
-/// tier every cell's [`RunResult`] also writes through under its input
-/// fingerprint; in incremental mode
+/// Every sweep is an axis declaration over one scheduler: each
+/// `(program, x value)` row holds its planes × configurations, rows are
+/// split into weight-sized configuration spans and claimed longest-first,
+/// and each span replays the row's recorded tape once for all of its
+/// configurations ([`run_tape_fused`]). Each distinct
+/// `(program, load latency)` pair is compiled and recorded at most once
+/// per sweep — rows sharing a pair (a penalty sweep's) share one tape
+/// slot. With a disk tier every cell's [`RunResult`] also writes through
+/// under its input fingerprint; in incremental mode
 /// ([`ArtifactStore::incremental`]) cells whose fingerprints are
 /// unchanged are answered from those stored results without simulating.
 /// The pool places results in input order, so the parallel sweeps return
@@ -255,58 +248,25 @@ impl SweepEngine {
         &self.telemetry
     }
 
-    /// The result-artifact fingerprint of one cell, when the store has a
-    /// disk tier to address into.
-    fn cell_fingerprint(&self, program: &Program, cfg: &SimConfig) -> Option<u64> {
-        self.store
-            .disk()
-            .map(|_| result_fingerprint(program_fingerprint(program), cfg))
-    }
-
-    /// One grid cell: answered from the stored result when incremental
-    /// and unchanged, else compile (cached), record (tiered), replay —
-    /// writing the fresh result through to the disk tier.
-    fn run_cell(&self, program: &Program, cfg: &SimConfig) -> Result<RunResult, SimError> {
-        let fp = self.cell_fingerprint(program, cfg);
-        if self.store.incremental() {
-            if let Some(fp) = fp {
-                if let Some(stored) = self.store.load_result(&program.name, cfg.load_latency, fp) {
-                    return Ok(stored);
-                }
-            }
-        }
-        let compiled = self.store.get_or_compile(program, cfg.load_latency)?;
-        let tape = self.store.get_or_record(&compiled);
-        let result = run_tape(&program.name, &tape, cfg)?;
-        self.telemetry.record_result(cfg, &result);
-        if let Some(fp) = fp {
-            self.store.store_result(&result, fp);
-        }
-        Ok(result)
-    }
-
-    /// One scheduling unit of a fused row: the contiguous configuration
-    /// slice `cfgs` of a `(program, latency)` pair, replayed in one tape
-    /// walk. In incremental mode, cells whose stored results are present
-    /// under their exact input fingerprints are answered from the store;
-    /// only the missing configurations are simulated (still fused, and
-    /// each configuration's replay is independent of its row neighbours,
-    /// so the mix is bit-identical to an all-simulated row). Fresh
-    /// results write through. When a row is split
-    /// across units (fusion-aware scheduling under a multi-thread pool),
-    /// all of its units share `tape_slot`, so the pair is still compiled
-    /// and recorded **exactly once per sweep** — the first unit that
-    /// needs the tape initializes the slot and the rest reuse the `Arc`
-    /// without touching the caches; cache counters are identical to the
-    /// one-job-per-row path.
+    /// One scheduling unit: the configuration slice `cfgs` of a row,
+    /// replayed in one tape walk. In incremental mode, cells whose stored
+    /// results are present under their exact input fingerprints are
+    /// answered from the store; only the missing configurations are
+    /// simulated (still fused, and each configuration's replay is
+    /// independent of its row neighbours, so the mix is bit-identical to
+    /// an all-simulated row). Fresh results write through. Every unit of
+    /// a `(program, latency)` pair shares `tape_slot`, so the pair is
+    /// compiled and recorded **at most once per sweep** — the first unit
+    /// that needs the tape initializes the slot and the rest reuse the
+    /// `Arc` without touching the caches.
     fn run_row_span(
         &self,
         program: &Program,
         program_fp: Option<u64>,
-        latency: u32,
         cfgs: &[SimConfig],
         tape_slot: &OnceLock<Result<Arc<TraceTape>, SimError>>,
     ) -> Result<Vec<RunResult>, SimError> {
+        let latency = cfgs[0].load_latency;
         let fps: Option<Vec<u64>> =
             program_fp.map(|pfp| cfgs.iter().map(|c| result_fingerprint(pfp, c)).collect());
         let mut row: Vec<Option<RunResult>> = vec![None; cfgs.len()];
@@ -352,8 +312,173 @@ impl SweepEngine {
             .unwrap_or_else(|| program.estimated_instructions())
     }
 
-    /// `configs` × `latencies` for one benchmark program: one fused row
-    /// per latency on the pool, compilation via the engine's cache.
+    /// The one sweep scheduler: runs equally wide `rows` on the pool and
+    /// returns each row's results in configuration order. Fused, a
+    /// single-thread pool (or a single row) runs one job per row, and a
+    /// multi-thread pool runs the weight-sized spans of
+    /// [`plan_row_spans`] longest-first; unfused, every configuration is
+    /// its own span (the reference path). Spans of one
+    /// `(program, load latency)` pair share one tape slot. A row reports
+    /// its first (lowest-configuration) error, and the sweep its first
+    /// failing row.
+    fn run_rows(
+        &self,
+        programs: &[&Program],
+        rows: &[Row],
+        fused: bool,
+    ) -> Result<Vec<Vec<RunResult>>, SimError> {
+        let width = rows.first().map_or(0, |r| r.cfgs.len());
+        debug_assert!(rows.iter().all(|r| r.cfgs.len() == width));
+        if width == 0 {
+            return Ok(rows.iter().map(|_| Vec::new()).collect());
+        }
+        // One stable IR fingerprint per program, shared by every span
+        // (only needed when a disk tier exists to address results into).
+        let program_fps: Vec<Option<u64>> = programs
+            .iter()
+            .map(|p| self.store.disk().map(|_| program_fingerprint(p)))
+            .collect();
+        let pair = |r: &Row| (r.program, r.cfgs[0].load_latency);
+        let mut pairs: Vec<(usize, u32)> = Vec::new();
+        let slot_of: Vec<usize> = rows
+            .iter()
+            .map(|r| match pairs.iter().position(|&p| p == pair(r)) {
+                Some(slot) => slot,
+                None => {
+                    pairs.push(pair(r));
+                    pairs.len() - 1
+                }
+            })
+            .collect();
+        let tape_slots: Vec<OnceLock<Result<Arc<TraceTape>, SimError>>> =
+            pairs.iter().map(|_| OnceLock::new()).collect();
+        let weights: Vec<u64> = rows
+            .iter()
+            .map(|r| self.row_weight(programs[r.program], r.cfgs[0].load_latency))
+            .collect();
+        let spans: Vec<RowSpan> = if !fused {
+            (0..rows.len())
+                .flat_map(|row| {
+                    (0..width).map(move |lo| RowSpan {
+                        row,
+                        lo,
+                        hi: lo + 1,
+                    })
+                })
+                .collect()
+        } else if self.pool.threads() <= 1 || rows.len() <= 1 {
+            (0..rows.len())
+                .map(|row| RowSpan {
+                    row,
+                    lo: 0,
+                    hi: width,
+                })
+                .collect()
+        } else {
+            plan_row_spans(&weights, width, self.pool.threads())
+        };
+        let order = span_claim_order(&spans, &weights);
+        let parts = self.pool.try_run_order(spans.len(), &order, |u| {
+            let RowSpan { row, lo, hi } = spans[u];
+            let r = &rows[row];
+            self.telemetry.track(|| {
+                self.run_row_span(
+                    programs[r.program],
+                    program_fps[r.program],
+                    &r.cfgs[lo..hi],
+                    &tape_slots[slot_of[row]],
+                )
+            })
+        })?;
+        // Stitch spans back into whole rows: spans are row-major, so
+        // appending in span order rebuilds each row's configuration order.
+        let mut out: Vec<Result<Vec<RunResult>, SimError>> =
+            rows.iter().map(|_| Ok(Vec::with_capacity(width))).collect();
+        for (span, part) in spans.iter().zip(parts) {
+            match (&mut out[span.row], part) {
+                (Ok(row), Ok(mut slice)) => row.append(&mut slice),
+                (slot @ Ok(_), Err(e)) => *slot = Err(e),
+                (Err(_), _) => {}
+            }
+        }
+        out.into_iter().collect()
+    }
+
+    /// Declares one grid per program and runs it: a row per
+    /// `(program, x value)` holding the planes × configurations (plane
+    /// major), `cell(plane, x, hw)` building each cell's configuration.
+    /// An empty axis yields an empty grid of the declared shape and
+    /// compiles nothing.
+    fn grids(
+        &self,
+        programs: &[&Program],
+        plane: Option<(PlaneAxis, Vec<String>)>,
+        (x_axis, xs): (XAxis, &[u32]),
+        configs: &[HwConfig],
+        fused: bool,
+        cell: impl Fn(usize, u32, &HwConfig) -> SimConfig,
+    ) -> Result<Vec<Grid>, SimError> {
+        let planes = plane.as_ref().map_or(1, |(_, labels)| labels.len());
+        let rows: Vec<Row> = (0..programs.len())
+            .flat_map(|program| xs.iter().map(move |&x| (program, x)))
+            .map(|(program, x)| Row {
+                program,
+                cfgs: (0..planes)
+                    .flat_map(|p| configs.iter().map(move |hw| (p, hw)))
+                    .map(|(p, hw)| cell(p, x, hw))
+                    .collect(),
+            })
+            .collect();
+        let mut results = self.run_rows(programs, &rows, fused)?.into_iter();
+        Ok(programs
+            .iter()
+            .map(|program| {
+                let mut grid_rows = vec![Vec::with_capacity(xs.len()); planes];
+                for row in results.by_ref().take(xs.len()) {
+                    let mut row = row.into_iter();
+                    for plane_rows in &mut grid_rows {
+                        plane_rows.push(row.by_ref().take(configs.len()).collect());
+                    }
+                }
+                Grid {
+                    benchmark: program.name.clone(),
+                    plane: plane.clone(),
+                    x_axis,
+                    xs: xs.to_vec(),
+                    configs: configs.iter().map(HwConfig::label).collect(),
+                    rows: grid_rows,
+                }
+            })
+            .collect())
+    }
+
+    /// `configs` × `latencies` for the cross-benchmark grid, one
+    /// [`LatencySweep`] per program in input order.
+    fn latency_sweeps(
+        &self,
+        programs: &[&Program],
+        base: &SimConfig,
+        configs: &[HwConfig],
+        latencies: &[u32],
+        fused: bool,
+    ) -> Result<Vec<LatencySweep>, SimError> {
+        let x = (XAxis::LoadLatency, latencies);
+        let grids = self.grids(programs, None, x, configs, fused, |_, lat, hw| {
+            on(base, hw).at_latency(lat)
+        })?;
+        Ok(grids
+            .into_iter()
+            .map(|g| LatencySweep {
+                benchmark: g.benchmark,
+                configs: g.configs,
+                latencies: g.xs,
+                rows: g.rows.into_iter().flatten().collect(),
+            })
+            .collect())
+    }
+
+    /// `configs` × `latencies` for one benchmark program (the shape of
+    /// Figs. 5, 9–12, 15–17): one fused row per latency.
     ///
     /// # Errors
     ///
@@ -364,29 +489,16 @@ impl SweepEngine {
         base: &SimConfig,
         configs: &[HwConfig],
         latencies: &[u32],
-    ) -> Result<LatencySweep, SimError> {
-        let sweeps = self.grid_sweep(&[program], base, configs, latencies)?;
-        Ok(sweeps
-            .into_iter()
-            .next()
-            .expect("one program in, one sweep out"))
+    ) -> Result<Grid, SimError> {
+        let sweep = self.grid_sweep(&[program], base, configs, latencies)?.pop();
+        Ok(Grid::from(sweep.expect("one program in, one sweep out")))
     }
 
-    /// Cross-benchmark sweep, fused: every `(program, latency)` pair of
-    /// the grid walks the shared tape **once**, advancing a simulator
-    /// instance per hardware configuration in lockstep
-    /// ([`run_tape_fused`]) — the row's configurations differ only in
-    /// hardware, so they replay one recorded schedule. Results are
-    /// bit-identical to the per-cell path ([`Self::grid_sweep_unfused`]),
-    /// one [`LatencySweep`] per program in input order.
-    ///
-    /// Scheduling is fusion-aware: under a multi-thread pool, rows are
-    /// split into configuration spans sized by each row's barrier weight
-    /// (`plan_row_spans`) and claimed longest-first, so the ~8× coarser
-    /// fused jobs load-balance like the unfused per-cell grid instead of
-    /// regressing on it. Units of one row share the compiled program and
-    /// tape through a per-row slot (`run_row_span`); a single-thread
-    /// pool keeps the one-job-per-row shape.
+    /// Cross-benchmark sweep, fused: every `(program, latency)` row walks
+    /// the shared tape **once**, advancing a simulator instance per
+    /// hardware configuration in lockstep ([`run_tape_fused`]).
+    /// Results are bit-identical to [`Self::grid_sweep_unfused`], one
+    /// [`LatencySweep`] per program in input order.
     ///
     /// # Errors
     ///
@@ -398,91 +510,7 @@ impl SweepEngine {
         configs: &[HwConfig],
         latencies: &[u32],
     ) -> Result<Vec<LatencySweep>, SimError> {
-        let (nl, nc) = (latencies.len(), configs.len());
-        let nrows = programs.len() * nl;
-        // One stable IR fingerprint per program, shared by every row job
-        // (only needed when a disk tier exists to address results into).
-        let program_fps: Vec<Option<u64>> = programs
-            .iter()
-            .map(|p| self.store.disk().map(|_| program_fingerprint(p)))
-            .collect();
-        let span_cfgs = |row: usize, lo: usize, hi: usize| -> Vec<SimConfig> {
-            configs[lo..hi]
-                .iter()
-                .map(|hw| {
-                    SimConfig {
-                        hw: hw.clone(),
-                        ..base.clone()
-                    }
-                    .at_latency(latencies[row % nl])
-                })
-                .collect()
-        };
-        let rows: Vec<Result<Vec<RunResult>, SimError>> =
-            if self.pool.threads() <= 1 || nrows <= 1 || nc == 0 {
-                self.pool
-                    .try_run(nrows, |idx| -> Result<Vec<RunResult>, SimError> {
-                        self.telemetry.track(|| {
-                            self.run_row_span(
-                                programs[idx / nl],
-                                program_fps[idx / nl],
-                                latencies[idx % nl],
-                                &span_cfgs(idx, 0, nc),
-                                &OnceLock::new(),
-                            )
-                        })
-                    })?
-            } else {
-                let weights: Vec<u64> = (0..nrows)
-                    .map(|row| self.row_weight(programs[row / nl], latencies[row % nl]))
-                    .collect();
-                let spans = plan_row_spans(&weights, nc, self.pool.threads());
-                let order = span_claim_order(&spans, &weights);
-                let tape_slots: Vec<OnceLock<Result<Arc<TraceTape>, SimError>>> =
-                    (0..nrows).map(|_| OnceLock::new()).collect();
-                let parts = self.pool.try_run_order(
-                    spans.len(),
-                    &order,
-                    |u| -> Result<Vec<RunResult>, SimError> {
-                        let RowSpan { row, lo, hi } = spans[u];
-                        self.telemetry.track(|| {
-                            self.run_row_span(
-                                programs[row / nl],
-                                program_fps[row / nl],
-                                latencies[row % nl],
-                                &span_cfgs(row, lo, hi),
-                                &tape_slots[row],
-                            )
-                        })
-                    },
-                )?;
-                // Stitch spans back into whole rows: spans are row-major,
-                // so appending in span order rebuilds each row's
-                // configuration order. A row keeps its first (lowest-`lo`)
-                // error, matching the whole-row path's report.
-                let mut rows: Vec<Result<Vec<RunResult>, SimError>> =
-                    (0..nrows).map(|_| Ok(Vec::with_capacity(nc))).collect();
-                for (span, part) in spans.iter().zip(parts) {
-                    match (&mut rows[span.row], part) {
-                        (Ok(row), Ok(mut slice)) => row.append(&mut slice),
-                        (slot @ Ok(_), Err(e)) => *slot = Err(e),
-                        (Err(_), _) => {}
-                    }
-                }
-                rows
-            };
-        let mut rows = rows.into_iter();
-        programs
-            .iter()
-            .map(|program| {
-                Ok(LatencySweep {
-                    benchmark: program.name.clone(),
-                    configs: configs.iter().map(HwConfig::label).collect(),
-                    latencies: latencies.to_vec(),
-                    rows: rows.by_ref().take(nl).collect::<Result<_, _>>()?,
-                })
-            })
-            .collect()
+        self.latency_sweeps(programs, base, configs, latencies, true)
     }
 
     /// [`Self::grid_sweep`] without tape fusion: every
@@ -500,24 +528,12 @@ impl SweepEngine {
         configs: &[HwConfig],
         latencies: &[u32],
     ) -> Result<Vec<LatencySweep>, SimError> {
-        let planes = self.cell_grid(programs.len(), base, configs, latencies, |p, cfg| {
-            (programs[p], cfg)
-        })?;
-        Ok(programs
-            .iter()
-            .zip(planes)
-            .map(|(program, rows)| LatencySweep {
-                benchmark: program.name.clone(),
-                configs: configs.iter().map(HwConfig::label).collect(),
-                latencies: latencies.to_vec(),
-                rows,
-            })
-            .collect())
+        self.latency_sweeps(programs, base, configs, latencies, false)
     }
 
-    /// `configs` × `penalties` at the base config's load latency: one
-    /// fused row per penalty on the pool, the single compilation via the
-    /// engine's cache.
+    /// `configs` × `penalties` at the base config's load latency (Fig.
+    /// 18's shape): one fused row per penalty, all rows replaying the one
+    /// tape of the base latency.
     ///
     /// # Errors
     ///
@@ -528,46 +544,17 @@ impl SweepEngine {
         base: &SimConfig,
         configs: &[HwConfig],
         penalties: &[u32],
-    ) -> Result<PenaltySweep, SimError> {
-        let compiled = self.store.get_or_compile(program, base.load_latency)?;
-        let tape = self.store.get_or_record(&compiled);
-        // One fused job per penalty: the row's configurations share the
-        // tape (compiled for the base latency), so each row is a single
-        // lockstep walk.
-        let rows =
-            self.pool
-                .try_run(penalties.len(), |idx| -> Result<Vec<RunResult>, SimError> {
-                    let cfgs: Vec<SimConfig> = configs
-                        .iter()
-                        .map(|hw| {
-                            SimConfig {
-                                hw: hw.clone(),
-                                ..base.clone()
-                            }
-                            .with_penalty(penalties[idx])
-                        })
-                        .collect();
-                    let row = self
-                        .telemetry
-                        .track(|| run_tape_fused(&program.name, &tape, &cfgs))?;
-                    for (cfg, result) in cfgs.iter().zip(&row) {
-                        self.telemetry.record_result(cfg, result);
-                    }
-                    Ok(row)
-                })?;
-        let rows = rows.into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(PenaltySweep {
-            benchmark: program.name.clone(),
-            configs: configs.iter().map(HwConfig::label).collect(),
-            penalties: penalties.to_vec(),
-            rows,
-        })
+    ) -> Result<Grid, SimError> {
+        let x = (XAxis::MissPenalty, penalties);
+        let mut grids = self.grids(&[program], None, x, configs, true, |_, pen, hw| {
+            on(base, hw).with_penalty(pen)
+        })?;
+        Ok(grids.pop().expect("one program in, one grid out"))
     }
 
-    /// Policy × configuration × latency grid for one benchmark, as one
-    /// flat pool invocation. The compiled program depends only on the
-    /// latency, so every policy and configuration replays the same
-    /// binaries; results are input-ordered and fully deterministic
+    /// Policy × configuration × latency grid for one benchmark (the
+    /// `figures replsens` exhibit): one fused row per latency holding
+    /// every policy and configuration. Results are fully deterministic
     /// (the random policy reseeds per run from its fixed seed).
     ///
     /// # Errors
@@ -580,24 +567,24 @@ impl SweepEngine {
         policies: &[ReplacementKind],
         configs: &[HwConfig],
         latencies: &[u32],
-    ) -> Result<ReplacementSweep, SimError> {
-        let rows = self.cell_grid(policies.len(), base, configs, latencies, |p, cfg| {
-            (program, cfg.with_replacement(policies[p]))
+    ) -> Result<Grid, SimError> {
+        let plane = (
+            PlaneAxis::Policy,
+            policies.iter().map(ReplacementKind::label).collect(),
+        );
+        let x = (XAxis::LoadLatency, latencies);
+        let mut grids = self.grids(&[program], Some(plane), x, configs, true, |p, lat, hw| {
+            on(base, hw).at_latency(lat).with_replacement(policies[p])
         })?;
-        Ok(ReplacementSweep {
-            benchmark: program.name.clone(),
-            policies: policies.iter().map(ReplacementKind::label).collect(),
-            configs: configs.iter().map(HwConfig::label).collect(),
-            latencies: latencies.to_vec(),
-            rows,
-        })
+        Ok(grids.pop().expect("one program in, one grid out"))
     }
 
-    /// Model × configuration × latency grid for one benchmark, as one
-    /// flat pool invocation. Every model replays the same recorded tape
-    /// (the compiled program depends only on the latency), so the grid
-    /// isolates the pipeline's reaction — stall on first use vs. replay
-    /// with cause attribution — from the code and the reference stream.
+    /// Model × configuration × latency grid for one benchmark (the
+    /// `figures replaymodel` exhibit): one row per latency holding every
+    /// model and configuration. Every model replays the same recorded
+    /// tape, so the grid isolates the pipeline's reaction — stall on
+    /// first use vs. replay with cause attribution — from the code and
+    /// the reference stream.
     ///
     /// # Errors
     ///
@@ -609,127 +596,77 @@ impl SweepEngine {
         models: &[ProcessorKind],
         configs: &[HwConfig],
         latencies: &[u32],
-    ) -> Result<ModelSweep, SimError> {
-        let rows = self.cell_grid(models.len(), base, configs, latencies, |m, cfg| {
-            (program, cfg.with_processor(models[m]))
+    ) -> Result<Grid, SimError> {
+        let plane = (
+            PlaneAxis::Model,
+            models.iter().map(|m| m.label().to_string()).collect(),
+        );
+        let x = (XAxis::LoadLatency, latencies);
+        let mut grids = self.grids(&[program], Some(plane), x, configs, true, |m, lat, hw| {
+            on(base, hw).at_latency(lat).with_processor(models[m])
         })?;
-        Ok(ModelSweep {
-            benchmark: program.name.clone(),
-            models: models.iter().map(|m| m.label().to_string()).collect(),
-            configs: configs.iter().map(HwConfig::label).collect(),
-            latencies: latencies.to_vec(),
-            rows,
-        })
-    }
-
-    /// `planes × latencies × configs` independent cells, one pool job
-    /// each, reshaped to `[plane][latency][config]`. `cell(plane, cfg)`
-    /// names the program and applies the plane's axis to a cell's
-    /// configuration (`base` with the cell's hardware and latency).
-    fn cell_grid<'p>(
-        &self,
-        planes: usize,
-        base: &SimConfig,
-        configs: &[HwConfig],
-        latencies: &[u32],
-        cell: impl Fn(usize, SimConfig) -> (&'p Program, SimConfig) + Sync,
-    ) -> Result<Vec<Vec<Vec<RunResult>>>, SimError> {
-        let (nl, nc) = (latencies.len(), configs.len());
-        let cells = self.pool.try_run(planes * nl * nc, |idx| {
-            let cfg = SimConfig {
-                hw: configs[idx % nc].clone(),
-                ..base.clone()
-            }
-            .at_latency(latencies[(idx / nc) % nl]);
-            let (program, cfg) = cell(idx / (nl * nc), cfg);
-            self.telemetry.track(|| self.run_cell(program, &cfg))
-        })?;
-        let mut iter = cells.into_iter();
-        (0..planes)
-            .map(|_| (0..nl).map(|_| iter.by_ref().take(nc).collect()).collect())
-            .collect()
+        Ok(grids.pop().expect("one program in, one grid out"))
     }
 
     /// Runs many independent `(program, config)` jobs on the pool, results
-    /// in input order, compilation cached. The workhorse for experiment
-    /// tables that aren't latency sweeps (per-benchmark rows, ablations).
+    /// in input order, compilation cached: each job is a one-cell row of
+    /// the sweep scheduler. The workhorse for experiment tables that
+    /// aren't sweeps (per-benchmark rows, ablations).
     ///
     /// # Errors
     ///
     /// [`SimError`] from the compiler model or the engine.
     pub fn run_many(&self, jobs: &[(&Program, SimConfig)]) -> Result<Vec<RunResult>, SimError> {
-        self.pool
-            .try_run(jobs.len(), |i| -> Result<RunResult, SimError> {
-                let (program, cfg) = &jobs[i];
-                self.telemetry.track(|| self.run_cell(program, cfg))
-            })?
-            .into_iter()
-            .collect()
+        let programs: Vec<&Program> = jobs.iter().map(|&(program, _)| program).collect();
+        let rows: Vec<Row> = jobs
+            .iter()
+            .enumerate()
+            .map(|(program, (_, cfg))| Row {
+                program,
+                cfgs: vec![cfg.clone()],
+            })
+            .collect();
+        let results = self.run_rows(&programs, &rows, false)?;
+        Ok(results.into_iter().flatten().collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{run_program, run_tape};
     use nbl_sched::compile::compile;
     use nbl_trace::workloads::{build, Scale};
 
-    /// The serial reference for [`SweepEngine::latency_sweep`]: one
-    /// compile and one independent tape replay per cell, in order.
-    fn latency_sweep(
+    /// The serial reference for plane-less sweeps: one compile and one
+    /// independent tape replay per cell, in order. `x_axis` picks what
+    /// each x value sets; the tape is compiled for the cell's latency.
+    fn serial_grid(
         program: &Program,
         base: &SimConfig,
         configs: &[HwConfig],
-        latencies: &[u32],
-    ) -> Result<LatencySweep, SimError> {
-        let mut rows = Vec::with_capacity(latencies.len());
-        for &lat in latencies {
-            let tape = TraceTape::record(&compile(program, lat)?);
+        (x_axis, xs): (XAxis, &[u32]),
+    ) -> Result<Grid, SimError> {
+        let mut rows = Vec::with_capacity(xs.len());
+        for &x in xs {
+            let cell = |hw: &HwConfig| match x_axis {
+                XAxis::LoadLatency => on(base, hw).at_latency(x),
+                XAxis::MissPenalty => on(base, hw).with_penalty(x),
+            };
+            let tape = TraceTape::record(&compile(program, cell(&base.hw).load_latency)?);
             let mut row = Vec::with_capacity(configs.len());
             for hw in configs {
-                let cfg = SimConfig {
-                    hw: hw.clone(),
-                    ..base.clone()
-                }
-                .at_latency(lat);
-                row.push(run_tape(&program.name, &tape, &cfg)?);
+                row.push(run_tape(&program.name, &tape, &cell(hw))?);
             }
             rows.push(row);
         }
-        Ok(LatencySweep {
+        Ok(Grid {
             benchmark: program.name.clone(),
+            plane: None,
+            x_axis,
+            xs: xs.to_vec(),
             configs: configs.iter().map(HwConfig::label).collect(),
-            latencies: latencies.to_vec(),
-            rows,
-        })
-    }
-
-    /// The serial reference for [`SweepEngine::penalty_sweep`].
-    fn penalty_sweep(
-        program: &Program,
-        base: &SimConfig,
-        configs: &[HwConfig],
-        penalties: &[u32],
-    ) -> Result<PenaltySweep, SimError> {
-        let tape = TraceTape::record(&compile(program, base.load_latency)?);
-        let mut rows = Vec::with_capacity(penalties.len());
-        for &pen in penalties {
-            let mut row = Vec::with_capacity(configs.len());
-            for hw in configs {
-                let cfg = SimConfig {
-                    hw: hw.clone(),
-                    ..base.clone()
-                }
-                .with_penalty(pen);
-                row.push(run_tape(&program.name, &tape, &cfg)?);
-            }
-            rows.push(row);
-        }
-        Ok(PenaltySweep {
-            benchmark: program.name.clone(),
-            configs: configs.iter().map(HwConfig::label).collect(),
-            penalties: penalties.to_vec(),
-            rows,
+            rows: vec![rows],
         })
     }
 
@@ -779,15 +716,22 @@ mod tests {
         let p = build("eqntott", Scale::quick()).unwrap();
         let base = SimConfig::baseline(HwConfig::Mc0);
         let configs = [HwConfig::Mc0, HwConfig::Mc(1), HwConfig::NoRestrict];
-        let s = latency_sweep(&p, &base, &configs, &[1, 10]).unwrap();
-        assert_eq!(s.rows.len(), 2);
-        assert_eq!(s.rows[0].len(), 3);
-        assert_eq!(s.curve(0).len(), 2);
-        let r = s.at("mc=1", 10).unwrap();
+        let s = SweepEngine::new(1)
+            .latency_sweep(&p, &base, &configs, &[1, 10])
+            .unwrap();
+        assert_eq!(s.rows.len(), 1, "a plane-less grid holds one plane");
+        assert_eq!(s.rows[0].len(), 2);
+        assert_eq!(s.rows[0][0].len(), 3);
+        assert_eq!(s.x_axis, XAxis::LoadLatency);
+        let r = s.at(None, "mc=1", 10).unwrap();
         assert_eq!(r.config, "mc=1");
         assert_eq!(r.load_latency, 10);
-        assert!(s.at("mc=7", 10).is_none());
-        assert!(s.at("mc=1", 11).is_none());
+        assert!(s.at(None, "mc=7", 10).is_none());
+        assert!(s.at(None, "mc=1", 11).is_none());
+        assert!(
+            s.at(Some("lru"), "mc=1", 10).is_none(),
+            "no plane label on a plane-less grid"
+        );
     }
 
     #[test]
@@ -801,22 +745,30 @@ mod tests {
         let engine = SweepEngine::new(4);
         for name in ["doduc", "eqntott"] {
             let p = build(name, Scale::quick()).unwrap();
-            let serial = latency_sweep(&p, &base, &configs, &latencies).unwrap();
+            let serial =
+                serial_grid(&p, &base, &configs, (XAxis::LoadLatency, &latencies)).unwrap();
             let parallel = engine
                 .latency_sweep(&p, &base, &configs, &latencies)
                 .unwrap();
             assert_eq!(serial.configs, parallel.configs);
-            assert_eq!(serial.latencies, parallel.latencies);
+            assert_eq!(serial.xs, parallel.xs);
             assert_eq!(
                 serial.rows, parallel.rows,
                 "{name}: parallel must be bit-identical"
             );
         }
-        // And the penalty sweep.
+        // And the penalty sweep, whose rows all replay one tape: a fresh
+        // engine compiles and records it once.
+        let engine = SweepEngine::new(4);
         let p = build("tomcatv", Scale::quick()).unwrap();
-        let serial = penalty_sweep(&p, &base, &configs, &[8, 32]).unwrap();
+        let serial = serial_grid(&p, &base, &configs, (XAxis::MissPenalty, &[8, 32])).unwrap();
         let parallel = engine.penalty_sweep(&p, &base, &configs, &[8, 32]).unwrap();
+        assert_eq!(parallel.x_axis, XAxis::MissPenalty);
         assert_eq!(serial.rows, parallel.rows);
+        assert_eq!(engine.cache().stats().compiles, 1);
+        assert_eq!(engine.cache().stats().hits, 0);
+        assert_eq!(engine.tapes().stats().records, 1);
+        assert_eq!(engine.tapes().stats().hits, 0);
     }
 
     #[test]
@@ -926,7 +878,6 @@ mod tests {
 
     #[test]
     fn run_many_matches_run_program() {
-        use crate::driver::run_program;
         let engine = SweepEngine::new(2);
         let p = build("xlisp", Scale::quick()).unwrap();
         let jobs = [
@@ -958,19 +909,41 @@ mod tests {
         let a = engine
             .replacement_sweep(&p, &base, &policies, &configs, &latencies)
             .unwrap();
+        // One row per latency holds every policy: one compile and one
+        // recording per latency.
+        assert_eq!(engine.cache().stats().compiles, 2);
+        assert_eq!(engine.tapes().stats().records, 2);
+        assert_eq!(engine.tapes().stats().hits, 0);
         let b = engine
             .replacement_sweep(&p, &base, &policies, &configs, &latencies)
             .unwrap();
         assert_eq!(a.rows, b.rows, "replay must be bit-identical (seeded)");
-        assert_eq!(a.policies, vec!["lru", "random", "plru"]);
+        let (axis, labels) = a.plane.as_ref().unwrap();
+        assert_eq!(*axis, PlaneAxis::Policy);
+        assert_eq!(*labels, vec!["lru", "random", "plru"]);
+        // Every fused cell equals an independent run of its configuration.
+        for (policy, plane) in policies.iter().zip(&a.rows) {
+            for (&lat, row) in latencies.iter().zip(plane) {
+                for (hw, got) in configs.iter().zip(row) {
+                    let cfg = on(&base, hw).at_latency(lat).with_replacement(*policy);
+                    assert_eq!(*got, run_program(&p, &cfg).unwrap());
+                }
+            }
+        }
         // The LRU plane equals a plain (default-policy) run.
-        let lru = a.at("lru", "mc=1", 10).unwrap();
-        let plain = latency_sweep(&p, &base, &configs, &latencies).unwrap();
-        let reference = plain.at("mc=1", 10).unwrap();
+        let lru = a.at(Some("lru"), "mc=1", 10).unwrap();
+        let plain = engine
+            .latency_sweep(&p, &base, &configs, &latencies)
+            .unwrap();
+        let reference = plain.at(None, "mc=1", 10).unwrap();
         assert_eq!(lru.cycles, reference.cycles);
         assert_eq!(lru.replacement, "lru");
-        assert_eq!(a.at("plru", "mc=1", 10).unwrap().replacement, "plru");
-        assert!(a.at("fifo", "mc=1", 10).is_none());
+        assert_eq!(a.at(Some("plru"), "mc=1", 10).unwrap().replacement, "plru");
+        assert!(a.at(Some("fifo"), "mc=1", 10).is_none());
+        assert!(
+            a.at(None, "mc=1", 10).is_none(),
+            "a planed grid needs a plane label"
+        );
     }
 
     #[test]
@@ -988,36 +961,97 @@ mod tests {
             .model_sweep(&p, &base, &models, &configs, &latencies)
             .unwrap();
         assert_eq!(a.rows, b.rows, "replay must be bit-identical");
-        assert_eq!(a.models, vec!["single", "replay"]);
+        let (axis, labels) = a.plane.as_ref().unwrap();
+        assert_eq!(*axis, PlaneAxis::Model);
+        assert_eq!(*labels, vec!["single", "replay"]);
         // The single plane equals a plain (default-model) run.
-        let single = a.at("single", "mc=1", 10).unwrap();
-        let plain = latency_sweep(&p, &base, &configs, &latencies).unwrap();
-        assert_eq!(single.cycles, plain.at("mc=1", 10).unwrap().cycles);
+        let single = a.at(Some("single"), "mc=1", 10).unwrap();
+        let plain = serial_grid(&p, &base, &configs, (XAxis::LoadLatency, &latencies)).unwrap();
+        assert_eq!(single.cycles, plain.at(None, "mc=1", 10).unwrap().cycles);
         assert_eq!(single.model, "single");
         assert_eq!(single.replay.total_replays(), 0);
         // The replaying plane attributes stalls to causes; the parallel
         // grid cell equals a direct serial run of the same configuration.
-        let replay = a.at("replay", "mc=1", 10).unwrap();
+        let replay = a.at(Some("replay"), "mc=1", 10).unwrap();
         assert_eq!(replay.model, "replay");
         assert!(replay.replay.total_replays() > 0, "mc=1 must NACK or miss");
         let cfg = SimConfig::baseline(HwConfig::Mc(1))
             .at_latency(10)
             .with_processor(ProcessorKind::ReplayCause);
-        let serial = crate::driver::run_program(&p, &cfg).unwrap();
-        assert_eq!(*replay, serial, "parallel must equal the serial path");
+        assert_eq!(*replay, run_program(&p, &cfg).unwrap());
+    }
+
+    #[test]
+    fn empty_axes_yield_empty_grids_and_compile_nothing() {
+        let p = build("eqntott", Scale::quick()).unwrap();
+        let base = SimConfig::baseline(HwConfig::Mc0);
+        let hw = [HwConfig::Mc0, HwConfig::NoRestrict];
+        let (lat, pen) = ([1, 10], [8, 16]);
+        let policies = [ReplacementKind::Lru, ReplacementKind::Fifo];
+        let models = [ProcessorKind::SingleInOrder, ProcessorKind::ReplayCause];
+        for threads in [1, 3] {
+            let engine = SweepEngine::new(threads);
+            // Plane-less grids keep their one plane; an empty x axis
+            // leaves it empty, an empty config axis leaves its rows empty.
+            let g = engine.latency_sweep(&p, &base, &hw, &[]).unwrap();
+            assert_eq!(g.rows, vec![Vec::<Vec<RunResult>>::new()]);
+            let g = engine.latency_sweep(&p, &base, &[], &lat).unwrap();
+            assert_eq!(g.rows, vec![vec![Vec::new(); 2]]);
+            let g = engine.penalty_sweep(&p, &base, &hw, &[]).unwrap();
+            assert_eq!(
+                (g.x_axis, g.rows.len(), g.rows[0].len()),
+                (XAxis::MissPenalty, 1, 0)
+            );
+            let g = engine.penalty_sweep(&p, &base, &[], &pen).unwrap();
+            assert_eq!(g.rows, vec![vec![Vec::new(); 2]]);
+            // Planed grids: zero planes, zero x values, zero configs.
+            let g = engine.replacement_sweep(&p, &base, &[], &hw, &lat).unwrap();
+            assert!(g.rows.is_empty() && g.plane.unwrap().1.is_empty());
+            let g = engine
+                .replacement_sweep(&p, &base, &policies, &hw, &[])
+                .unwrap();
+            assert_eq!(g.rows, vec![Vec::<Vec<RunResult>>::new(); 2]);
+            let g = engine
+                .replacement_sweep(&p, &base, &policies, &[], &lat)
+                .unwrap();
+            assert_eq!(g.rows, vec![vec![Vec::new(); 2]; 2]);
+            let g = engine.model_sweep(&p, &base, &[], &hw, &lat).unwrap();
+            assert!(g.rows.is_empty());
+            let g = engine.model_sweep(&p, &base, &models, &hw, &[]).unwrap();
+            assert_eq!(g.rows.len(), 2);
+            let g = engine.model_sweep(&p, &base, &models, &[], &lat).unwrap();
+            assert_eq!(g.rows, vec![vec![Vec::new(); 2]; 2]);
+            // Cross-benchmark grids: no programs, no latencies, no configs.
+            assert!(engine.grid_sweep(&[], &base, &hw, &lat).unwrap().is_empty());
+            let s = engine.grid_sweep(&[&p], &base, &hw, &[]).unwrap();
+            assert!(s[0].rows.is_empty());
+            let s = engine.grid_sweep_unfused(&[&p], &base, &[], &lat).unwrap();
+            assert_eq!(s[0].rows, vec![Vec::new(); 2]);
+            assert_eq!(
+                engine.cache().stats(),
+                Default::default(),
+                "compiles nothing"
+            );
+            assert_eq!(
+                engine.tapes().stats(),
+                Default::default(),
+                "records nothing"
+            );
+            assert_eq!(engine.telemetry().snapshot().runs, 0, "simulates nothing");
+        }
     }
 
     #[test]
     fn penalty_sweep_blocking_is_linear() {
         let p = build("tomcatv", Scale::quick()).unwrap();
         let base = SimConfig::baseline(HwConfig::Mc0);
-        let s = penalty_sweep(&p, &base, &[HwConfig::Mc0], &[8, 16, 32]).unwrap();
-        let m8 = s.at("mc=0", 8).unwrap().mcpi;
-        let m16 = s.at("mc=0", 16).unwrap().mcpi;
-        let m32 = s.at("mc=0", 32).unwrap().mcpi;
+        let s = SweepEngine::new(1)
+            .penalty_sweep(&p, &base, &[HwConfig::Mc0], &[8, 16, 32])
+            .unwrap();
+        let m = |pen: u32| s.at(None, "mc=0", pen).unwrap().mcpi;
         // "The blocking organization's miss CPI is strictly a linear
         // function of the miss penalty."
-        assert!((m16 / m8 - 2.0).abs() < 0.05, "{m8} {m16}");
-        assert!((m32 / m16 - 2.0).abs() < 0.05, "{m16} {m32}");
+        assert!((m(16) / m(8) - 2.0).abs() < 0.05, "{} {}", m(8), m(16));
+        assert!((m(32) / m(16) - 2.0).abs() < 0.05, "{} {}", m(16), m(32));
     }
 }

@@ -50,6 +50,24 @@ fn run_grid(engine: &SweepEngine, programs: &[Program]) -> Vec<RunResult> {
         .collect()
 }
 
+/// Fig. 18's shape in small: one benchmark, 2 configs x 3 penalties at
+/// the base latency = 6 cells over one `(benchmark, latency)` pair, none
+/// of them equal to a grid cell (the base penalty is 16).
+const PENALTIES: [u32; 3] = [8, 32, 64];
+const PENALTY_CELLS: u64 = 6;
+
+fn run_penalties(engine: &SweepEngine, programs: &[Program]) -> Vec<RunResult> {
+    let base = SimConfig::baseline(HwConfig::NoRestrict);
+    engine
+        .penalty_sweep(&programs[0], &base, &GRID_CONFIGS, &PENALTIES)
+        .unwrap()
+        .rows
+        .into_iter()
+        .flatten()
+        .flatten()
+        .collect()
+}
+
 fn disk_engine(dir: &PathBuf, incremental: bool) -> SweepEngine {
     SweepEngine::with_store(2, ArtifactStore::with_disk(dir, incremental))
 }
@@ -108,17 +126,26 @@ fn incremental_mode_answers_cells_from_stored_results() {
 
     let a = disk_engine(&dir, false);
     let baseline = run_grid(&a, &programs);
+    let penalties = run_penalties(&a, &programs);
+    assert_eq!(a.store().disk_stats().result_writes, CELLS + PENALTY_CELLS);
 
     // Incremental "process": every cell's input fingerprints are
-    // unchanged, so the whole grid comes back from result artifacts
-    // without compiling, recording, or simulating anything.
+    // unchanged, so the whole grid and the penalty sweep come back from
+    // result artifacts without compiling, recording, or simulating
+    // anything.
     let b = disk_engine(&dir, true);
     assert!(b.store().incremental());
     let served = run_grid(&b, &programs);
     assert_eq!(served, baseline, "stored results must be bit-identical");
+    let served = run_penalties(&b, &programs);
+    assert_eq!(
+        served, penalties,
+        "stored penalty cells must be bit-identical"
+    );
     let sb = b.store().disk_stats();
-    assert_eq!(sb.result_hits, CELLS);
+    assert_eq!(sb.result_hits, CELLS + PENALTY_CELLS);
     assert_eq!(sb.result_misses, 0);
+    assert_eq!(b.telemetry().snapshot().runs, 0, "nothing is simulated");
     assert_eq!(
         b.cache().stats().compiles,
         0,

@@ -1,10 +1,14 @@
 //! Heterogeneous fused groups: rows mixing configurations that qualify
 //! for the specialized direct-mapped/no-L2 replay kernel with ones that
-//! do not (L2-backed, victim-buffered) must take the generic per-core
-//! fallback and stay bit-identical to unfused replay — fusion and kernel
-//! selection are pure performance choices, never observable in results.
+//! do not (L2-backed, victim-buffered), and the planed rows of the
+//! replacement and model sweeps (every policy, or every processor model,
+//! in one row), must stay bit-identical to unfused replay — fusion and
+//! kernel selection are pure performance choices, never observable in
+//! results.
 
-use nbl_sim::config::{HwConfig, SimConfig};
+use nbl_core::geometry::CacheGeometry;
+use nbl_core::tag_array::ReplacementKind;
+use nbl_sim::config::{HwConfig, ProcessorKind, SimConfig};
 use nbl_sim::driver::{run_tape, run_tape_fused};
 use nbl_sim::store::ArtifactStore;
 use nbl_sim::sweep::SweepEngine;
@@ -90,5 +94,57 @@ fn l2_backed_grid_sweep_matches_unfused() {
             "{}: L2-backed fusion must not change results",
             f.benchmark
         );
+    }
+}
+
+/// The planed rows the replacement and model sweeps fuse: on a 4-way
+/// cache, every replacement policy × 3 configurations in one row; and
+/// every processor model × 3 configurations in one row (the dual-issue
+/// and replaying models fall back to per-configuration replay inside
+/// `run_tape_fused`). Each fused cell must equal its per-cell replay.
+#[test]
+fn policy_and_model_rows_fuse_bit_identically() {
+    let store = ArtifactStore::in_memory();
+    let configs = [HwConfig::Mc(1), HwConfig::Fc(2), HwConfig::NoRestrict];
+    let four_way = SimConfig::baseline(HwConfig::NoRestrict)
+        .with_geometry(CacheGeometry::new(8 * 1024, 32, 4).unwrap());
+    let plain = SimConfig::baseline(HwConfig::NoRestrict);
+    for name in ["eqntott", "doduc"] {
+        let program = build(name, Scale::quick()).unwrap();
+        for lat in [1, 10] {
+            let tape = store.get_or_record(&store.get_or_compile(&program, lat).unwrap());
+            let on = |base: &SimConfig, hw: &HwConfig| {
+                SimConfig {
+                    hw: hw.clone(),
+                    ..base.clone()
+                }
+                .at_latency(lat)
+            };
+            let policy_row: Vec<SimConfig> = ReplacementKind::all()
+                .into_iter()
+                .flat_map(|p| configs.iter().map(move |hw| (p, hw)))
+                .map(|(p, hw)| on(&four_way, hw).with_replacement(p))
+                .collect();
+            let model_row: Vec<SimConfig> = ProcessorKind::ALL
+                .into_iter()
+                .flat_map(|m| configs.iter().map(move |hw| (m, hw)))
+                .map(|(m, hw)| on(&plain, hw).with_processor(m))
+                .collect();
+            assert_eq!(policy_row.len(), 12);
+            assert_eq!(model_row.len(), 9);
+            for row in [policy_row, model_row] {
+                let fused = run_tape_fused(name, &tape, &row).unwrap();
+                for (cfg, fused_result) in row.iter().zip(&fused) {
+                    assert_eq!(
+                        *fused_result,
+                        run_tape(name, &tape, cfg).unwrap(),
+                        "{name} lat {lat} {} {:?} {:?}: planed fused row diverged",
+                        cfg.hw.label(),
+                        cfg.replacement,
+                        cfg.processor
+                    );
+                }
+            }
+        }
     }
 }

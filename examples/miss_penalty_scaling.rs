@@ -44,11 +44,11 @@ fn main() {
     println!("{:>16}", "growth 16->32");
     for (j, config) in sweep.configs.iter().enumerate() {
         print!("{config:>14}");
-        for row in &sweep.rows {
+        for row in &sweep.rows[0] {
             print!("{:>9.3}", row[j].mcpi);
         }
-        let at16 = sweep.at(config, 16).unwrap().mcpi;
-        let at32 = sweep.at(config, 32).unwrap().mcpi;
+        let at16 = sweep.at(None, config, 16).unwrap().mcpi;
+        let at32 = sweep.at(None, config, 32).unwrap().mcpi;
         println!("{:>15.2}x", at32 / at16.max(1e-9));
     }
     println!(

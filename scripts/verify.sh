@@ -116,6 +116,22 @@ for r in d["runs"]:
 print("replaymodel.json: shape OK")
 EOF
 
+echo "== smoke: miss-penalty sweep (Fig. 18) vs pinned golden =="
+cargo run --release -p nbl-bench -- fig18 --quick \
+  --csv "$replsens_dir" --json "$replsens_dir" --out /dev/null >/dev/null
+# The whole Fig. 18 CSV must be bit-identical to the pinned golden: the
+# penalty rows share one tape and run on the same scheduler as every
+# other sweep, so a drift means the scheduler or the engine changed.
+diff -u scripts/golden/fig18_quick.csv "$replsens_dir/fig18.csv"
+python3 - "$replsens_dir/fig18.json" <<'EOF'
+import json, sys
+d = json.load(open(sys.argv[1]))
+assert d["kind"] == "penalty_sweep", d["kind"]
+assert d["miss_penalties"] == [4, 8, 16, 32, 64, 128], d["miss_penalties"]
+assert len(d["runs"]) == len(d["configs"]) * 6, len(d["runs"])
+print("fig18.json: shape OK")
+EOF
+
 echo "== oracle gate: 72-cell cross-check, zero violations (--deny) =="
 cargo run --release -p nbl-oracle -- --deny \
   --csv "$replsens_dir/oracle_cli.csv" --json "$replsens_dir/oracle_cli.json" >/dev/null

@@ -9,7 +9,7 @@ use nonblocking_loads::core::geometry::CacheGeometry;
 use nonblocking_loads::sim::config::{HwConfig, SimConfig};
 use nonblocking_loads::sim::driver::{run_program, RunResult};
 use nonblocking_loads::sim::sweep::SweepEngine;
-use nonblocking_loads::trace::workloads::{build, Scale, INTEGER};
+use nonblocking_loads::trace::workloads::{build, Scale, ALL, INTEGER};
 
 fn scale() -> Scale {
     Scale {
@@ -182,11 +182,32 @@ fn su2cor_needs_multiple_fetches_per_set() {
 
 /// Claim 8: blocking MCPI is linear in the miss penalty; non-blocking
 /// MCPI grows super-linearly as overlap capacity exhausts (Fig. 18).
+/// Linearity is checked as the §3.1 identity on every benchmark: a
+/// blocking miss stalls exactly `penalty` cycles, so doubling the penalty
+/// doubles the blocking stall cycles exactly.
 #[test]
 fn penalty_scaling_linear_for_blocking_superlinear_for_nonblocking() {
-    let p = build("tomcatv", scale()).unwrap();
+    let engine = SweepEngine::new(2);
     let base = SimConfig::baseline(HwConfig::NoRestrict);
-    let sweep = SweepEngine::new(1)
+    let penalties = [4, 8, 16, 32, 64, 128];
+    for bench in ALL {
+        let p = build(bench, scale()).unwrap();
+        let sweep = engine
+            .penalty_sweep(&p, &base, &[HwConfig::Mc0], &penalties)
+            .unwrap();
+        let stalls = |pen: u32| sweep.at(None, "mc=0", pen).unwrap().blocking_stalls;
+        assert!(stalls(4) > 0, "{bench}: a blocking cache must stall");
+        for pen in [4, 8, 16, 32, 64] {
+            assert_eq!(
+                stalls(2 * pen),
+                2 * stalls(pen),
+                "{bench}: blocking stalls at penalty {} are not twice those at {pen}",
+                2 * pen
+            );
+        }
+    }
+    let p = build("tomcatv", scale()).unwrap();
+    let sweep = engine
         .penalty_sweep(
             &p,
             &base,
@@ -194,7 +215,7 @@ fn penalty_scaling_linear_for_blocking_superlinear_for_nonblocking() {
             &[8, 16, 32],
         )
         .unwrap();
-    let m = |c: &str, pen: u32| sweep.at(c, pen).unwrap().mcpi;
+    let m = |c: &str, pen: u32| sweep.at(None, c, pen).unwrap().mcpi;
     // Blocking: strictly proportional.
     assert!((m("mc=0", 16) / m("mc=0", 8) - 2.0).abs() < 0.05);
     assert!((m("mc=0", 32) / m("mc=0", 16) - 2.0).abs() < 0.05);
@@ -213,7 +234,7 @@ fn scheduling_for_misses_unlocks_the_hardware() {
     let sweep = SweepEngine::new(1)
         .latency_sweep(&p, &base, &[HwConfig::NoRestrict], &[1, 2, 3, 6, 10, 20])
         .unwrap();
-    let curve = sweep.curve(0);
+    let curve: Vec<f64> = sweep.rows[0].iter().map(|row| row[0].mcpi).collect();
     assert!(
         curve[5] < curve[0] / 3.0,
         "latency-20 schedules should hide most of what latency-1 exposes: {curve:?}"
