@@ -233,17 +233,6 @@ pub enum Dest {
     Prefetch(u8),
 }
 
-impl Dest {
-    /// Returns the register if this destination is a register.
-    #[inline]
-    pub fn as_reg(self) -> Option<PhysReg> {
-        match self {
-            Dest::Reg(r) => Some(r),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for Dest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

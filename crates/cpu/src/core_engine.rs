@@ -525,7 +525,7 @@ impl Core {
     /// Groups of the dominant sweep shape (`group_qualifies_direct`:
     /// direct-mapped L1; no L2, victim buffer, event trace or perfect
     /// cache) take the specialized `replay_fused_direct` kernel; every
-    /// other group takes the generic walk below.
+    /// other group takes the generic walk, `replay_walk`.
     ///
     /// # Errors
     ///
@@ -536,11 +536,31 @@ impl Core {
         if Self::group_qualifies_direct(cores) {
             // The shared-geometry check doubles as the soundness gate for
             // sharing one address decode across the group; a mixed group
-            // simply stays on the generic per-core walk below.
+            // simply stays on the generic per-core walk.
             if let Ok(group) = FusedMemGroup::new(cores.iter().map(|c| &c.mem)) {
                 return Self::replay_fused_direct(tape, cores, &group);
             }
         }
+        Self::replay_walk(tape, cores, |core, b, m, busy| {
+            if busy {
+                core.drain_fills();
+                core.replay_hazards(tape, b)?;
+            }
+            core.replay_execute(tape, b, m)
+        })
+    }
+
+    /// The generic barrier walk of [`Core::replay_fused`], shared by every
+    /// single-width issue policy: `step(core, b, m, busy)` issues barrier
+    /// entry `b` (memory cursor `m`) on one engine and must drain fills
+    /// and resolve hazards first when `busy` (a fetch is outstanding); the
+    /// walk then ticks. A quiescent engine steps only memory barriers,
+    /// with `busy` false.
+    pub(crate) fn replay_walk(
+        tape: &TraceTape,
+        cores: &mut [&mut Core],
+        mut step: impl FnMut(&mut Core, usize, usize, bool) -> Result<(), EngineError>,
+    ) -> Result<(), EngineError> {
         let barriers = tape.barriers();
         let n = tape.len();
         // Per-engine cursor: the next instruction index to account for.
@@ -562,7 +582,7 @@ impl Core {
                         core.issue_free_run(b - *i);
                     }
                     // Nothing outstanding: no drain, no hazard possible.
-                    core.replay_execute(tape, b, m)?;
+                    step(core, b, m, false)?;
                     core.tick();
                     *i = b + 1;
                 }
@@ -580,11 +600,7 @@ impl Core {
                     if b > *i {
                         core.issue_free_run(b - *i);
                     }
-                    if !quiescent {
-                        core.drain_fills();
-                        core.replay_hazards(tape, b)?;
-                    }
-                    core.replay_execute(tape, b, m)?;
+                    step(core, b, m, !quiescent)?;
                     core.tick();
                     *i = b + 1;
                 }

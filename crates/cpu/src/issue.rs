@@ -185,9 +185,11 @@ impl IssueEngine {
 
     /// Replays a recorded tape with timing and stats bit-identical to
     /// pushing the equivalent stream, driven straight off the tape's
-    /// packed arrays through the policy's own replay loop — no
-    /// [`DynInst`] is reconstructed on the hot path. Single-issue replay
-    /// is the lockstep walk [`Core::replay_fused`] over a group of one.
+    /// packed arrays — no [`DynInst`] is reconstructed on the hot path.
+    /// Both single-width policies run the lockstep barrier walk of
+    /// [`Core::replay_fused`] over a group of one; the replaying model
+    /// supplies its own per-barrier step (hazard-wait attribution and the
+    /// speculative execute). Dual issue runs its own pairing loop.
     ///
     /// # Errors
     ///
@@ -196,7 +198,21 @@ impl IssueEngine {
         match self.policy {
             IssuePolicy::SingleInOrder => Core::replay_fused(tape, &mut [&mut self.core]),
             IssuePolicy::DualInOrder => self.run_tape_dual(tape),
-            IssuePolicy::ReplayCause => self.run_tape_replaying(tape),
+            IssuePolicy::ReplayCause => {
+                let attribution = &mut self.attribution;
+                Core::replay_walk(tape, &mut [&mut self.core], |core, b, m, busy| {
+                    if busy {
+                        core.drain_fills();
+                        let before = core.now();
+                        core.replay_hazards(tape, b)?;
+                        // As in `push`: a hazard wait is the consumer-side
+                        // cost of a miss completing out of order.
+                        attribution.stall_cycles[ReplayCause::DcacheMiss.index()] +=
+                            core.now().since(before);
+                    }
+                    core.replay_execute_speculative(tape, b, m, attribution)
+                })
+            }
         }
     }
 
@@ -242,58 +258,6 @@ impl IssueEngine {
                 self.core.tick();
                 i += 1;
             }
-        }
-        Ok(())
-    }
-
-    /// The replaying model's barrier loop: the same gap bulk-issue and
-    /// quiescent fast path as [`Core::replay_fused`] (non-barrier entries
-    /// never touch the memory system or the replay classifier, and a
-    /// quiescent engine has no pending register to attribute a wait to),
-    /// with the speculative execute and hazard-wait attribution at the
-    /// barriers.
-    fn run_tape_replaying(&mut self, tape: &TraceTape) -> Result<(), EngineError> {
-        let barriers = tape.barriers();
-        let n = tape.len();
-        let mut i = 0; // next instruction index to account for
-        let mut j = 0; // next barrier to process
-        let mut m = 0; // next memory operation (address cursor)
-        while j < barriers.len() {
-            if self.core.memory().next_event().is_none() {
-                j = tape.next_mem_barrier(j);
-                let next = barriers.get(j).map_or(n, |&b| b as usize);
-                if next > i {
-                    self.core.issue_free_run(next - i);
-                    i = next;
-                }
-                let Some(&b) = barriers.get(j) else { break };
-                let b = b as usize;
-                self.core
-                    .replay_execute_speculative(tape, b, m, &mut self.attribution)?;
-                self.core.tick();
-                i = b + 1;
-                j += 1;
-                m += 1;
-            } else {
-                let b = barriers[j] as usize;
-                if b > i {
-                    self.core.issue_free_run(b - i);
-                }
-                self.core.drain_fills();
-                let before = self.core.now();
-                self.core.replay_hazards(tape, b)?;
-                self.attribution.stall_cycles[ReplayCause::DcacheMiss.index()] +=
-                    self.core.now().since(before);
-                self.core
-                    .replay_execute_speculative(tape, b, m, &mut self.attribution)?;
-                self.core.tick();
-                i = b + 1;
-                m += usize::from(tape.is_mem_barrier(j));
-                j += 1;
-            }
-        }
-        if i < n {
-            self.core.issue_free_run(n - i);
         }
         Ok(())
     }

@@ -2,8 +2,8 @@
 //!
 //! The paper's studies are thousands of independent `(benchmark, latency,
 //! configuration)` simulations; this pool runs them across OS threads with
-//! no external dependencies: [`std::thread::scope`] plus a chunked atomic
-//! work queue. Results are placed in **input order** — `run(n, f)` returns
+//! no external dependencies: [`std::thread::scope`] plus an atomic work
+//! counter. Results are placed in **input order** — `run(n, f)` returns
 //! exactly `[f(0), f(1), …, f(n-1)]` regardless of which worker computed
 //! each job — so parallel sweeps are bit-identical to serial ones.
 //!
@@ -13,11 +13,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Jobs claimed per queue transaction, per worker. Small enough to keep
-/// workers load-balanced when cell costs vary by benchmark, large enough
-/// that the shared counter is not contended.
-const MAX_CHUNK: usize = 64;
 
 /// Parses an `NBL_THREADS`-style override. `None` (unset, empty, garbage,
 /// or zero) means "no override".
@@ -119,8 +114,7 @@ impl JobPool {
     /// reported as a [`JobPanic`] instead of unwinding through the pool:
     /// the sweep that submitted the jobs fails, not the process. When
     /// several jobs panic, the smallest observed input index is reported;
-    /// remaining workers stop claiming new chunks once a panic is
-    /// observed.
+    /// remaining workers stop claiming new jobs once a panic is observed.
     ///
     /// # Errors
     ///
@@ -130,79 +124,15 @@ impl JobPool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let guarded = |i: usize| {
-            catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| JobPanic {
-                job: i,
-                message: panic_message(payload.as_ref()),
-            })
-        };
-        if self.threads <= 1 || jobs <= 1 {
-            return (0..jobs).map(guarded).collect();
-        }
-        let chunk = (jobs / (self.threads * 4)).clamp(1, MAX_CHUNK);
-        let next = AtomicUsize::new(0);
-        let bailed = AtomicBool::new(false);
-        let first_panic: Mutex<Option<JobPanic>> = Mutex::new(None);
-        let workers = self.threads.min(jobs);
-        let parts: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        while !bailed.load(Ordering::Relaxed) {
-                            let start = next.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= jobs {
-                                break;
-                            }
-                            for i in start..(start + chunk).min(jobs) {
-                                match guarded(i) {
-                                    Ok(t) => local.push((i, t)),
-                                    Err(p) => {
-                                        bailed.store(true, Ordering::Relaxed);
-                                        let mut slot =
-                                            first_panic.lock().expect("panic slot poisoned");
-                                        if slot.as_ref().is_none_or(|prev| p.job < prev.job) {
-                                            *slot = Some(p);
-                                        }
-                                        return local;
-                                    }
-                                }
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pool worker itself never panics"))
-                .collect()
-        });
-        if let Some(p) = first_panic.into_inner().expect("panic slot poisoned") {
-            return Err(p);
-        }
-        // Merge worker-local results back into input order.
-        let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
-        for part in parts {
-            for (i, t) in part {
-                debug_assert!(slots[i].is_none(), "job {i} produced twice");
-                slots[i] = Some(t);
-            }
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every job produces exactly one result"))
-            .collect())
+        self.claim_loop(jobs, |pos| pos, f)
     }
 
     /// [`JobPool::try_run`] with an explicit claim order: workers claim
-    /// **one job at a time** following `order` (a permutation of
-    /// `0..jobs`), so a caller that knows per-job weights can schedule
-    /// longest-first and avoid a heavy job landing last on an otherwise
-    /// drained pool. Results are still placed in **input order** — the
-    /// claim order changes wall-clock balance, never the output. Meant
-    /// for pre-coarsened work units (the claim counter is taken per job,
-    /// not per chunk).
+    /// jobs following `order` (a permutation of `0..jobs`), so a caller
+    /// that knows per-job weights can schedule longest-first and avoid a
+    /// heavy job landing last on an otherwise drained pool. Results are
+    /// still placed in **input order** — the claim order changes
+    /// wall-clock balance, never the output.
     ///
     /// With one worker (or ≤ 1 job) this runs serially in input order,
     /// byte-identical to [`JobPool::try_run`].
@@ -234,6 +164,25 @@ impl JobPool {
             },
             "order must be a permutation of 0..jobs"
         );
+        self.claim_loop(jobs, |pos| order[pos], f)
+    }
+
+    /// The one worker loop behind [`JobPool::try_run`] and
+    /// [`JobPool::try_run_order`]: each worker claims **one job position
+    /// at a time** from a shared counter and runs job `claim(pos)` under
+    /// panic capture; the worker-local results are merged back into input
+    /// order. Sweeps submit pre-coarsened, millisecond-scale jobs, so a
+    /// per-job claim costs nothing measurable.
+    fn claim_loop<T, F>(
+        &self,
+        jobs: usize,
+        claim: impl Fn(usize) -> usize + Sync,
+        f: F,
+    ) -> Result<Vec<T>, JobPanic>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
         let guarded = |i: usize| {
             catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| JobPanic {
                 job: i,
@@ -257,7 +206,7 @@ impl JobPool {
                             if pos >= jobs {
                                 break;
                             }
-                            let i = order[pos];
+                            let i = claim(pos);
                             match guarded(i) {
                                 Ok(t) => local.push((i, t)),
                                 Err(p) => {
@@ -282,6 +231,7 @@ impl JobPool {
         if let Some(p) = first_panic.into_inner().expect("panic slot poisoned") {
             return Err(p);
         }
+        // Merge worker-local results back into input order.
         let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
         for part in parts {
             for (i, t) in part {

@@ -100,16 +100,6 @@ impl BlockBuilder<'_> {
         dst
     }
 
-    /// Emits a load into an existing register (e.g. a carried accumulator).
-    pub fn load_into(&mut self, dst: VirtReg, pattern: PatternId, format: LoadFormat) {
-        self.block.ops.push(IrOp::Load {
-            dst,
-            pattern,
-            format,
-            addr_src: None,
-        });
-    }
-
     /// Emits a dependent load: the effective address reads `addr_src`.
     pub fn load_via(
         &mut self,
@@ -145,15 +135,6 @@ impl BlockBuilder<'_> {
             pattern,
             data,
             addr_src: None,
-        });
-    }
-
-    /// Emits a store whose address depends on `addr_src`.
-    pub fn store_via(&mut self, pattern: PatternId, data: Option<VirtReg>, addr_src: VirtReg) {
-        self.block.ops.push(IrOp::Store {
-            pattern,
-            data,
-            addr_src: Some(addr_src),
         });
     }
 

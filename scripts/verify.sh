@@ -86,13 +86,13 @@ assert len(d["runs"]) == len(d["policies"]) * len(d["configs"]) * 6
 print("replsens.json: shape OK")
 EOF
 
-echo "== smoke: processor-model sweep vs pinned single-issue golden =="
+echo "== smoke: processor-model sweep vs pinned golden =="
 cargo run --release -p nbl-bench -- replaymodel --quick \
   --csv "$replsens_dir" --json "$replsens_dir" --out /dev/null >/dev/null
-# The single-issue rows must be bit-identical to the pinned golden: the
-# issue-policy engine may not perturb the default stalling pipeline.
-grep '^single,' "$replsens_dir/replaymodel.csv" \
-  | diff -u scripts/golden/replaymodel_single_quick.csv -
+# All 54 rows (single, dual and replay models) must be bit-identical to
+# the pinned golden: every issue policy shares the engine, so a drift in
+# any model's rows means its issue walk changed semantics.
+diff -u scripts/golden/replaymodel_quick.csv "$replsens_dir/replaymodel.csv"
 python3 - "$replsens_dir/replaymodel.json" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
@@ -131,6 +131,11 @@ assert d["miss_penalties"] == [4, 8, 16, 32, 64, 128], d["miss_penalties"]
 assert len(d["runs"]) == len(d["configs"]) * 6, len(d["runs"])
 print("fig18.json: shape OK")
 EOF
+
+echo "== smoke: trace capture to a tape file, replay bit-identical =="
+# The example asserts that the decoded file equals the recorded tape and
+# that replaying it reproduces the direct run's RunResult exactly.
+cargo run --release --example trace_capture -- eqntott "$replsens_dir/eqntott.nblt"
 
 echo "== oracle gate: 72-cell cross-check, zero violations (--deny) =="
 cargo run --release -p nbl-oracle -- --deny \

@@ -9,7 +9,7 @@
 //! dual-issue driver.
 
 use nonblocking_loads::sched::compile::compile;
-use nonblocking_loads::sim::config::{HwConfig, SimConfig};
+use nonblocking_loads::sim::config::{HwConfig, ProcessorKind, SimConfig};
 use nonblocking_loads::sim::driver::{
     run_compiled, run_compiled_interpreted, run_dual_compiled, run_dual_compiled_interpreted,
 };
@@ -60,7 +60,9 @@ fn tape_replay_matches_interpreter_on_every_golden_cell() {
 
 /// One benchmark per workload family, run under the two configurations
 /// the golden grid does not cover (blocking + write-miss allocate, and
-/// the in-cache MSHR organization) as well as the unrestricted one.
+/// the in-cache MSHR organization) as well as the unrestricted one, on
+/// both single-width processor models: the stalling pipeline and the
+/// replaying one (whose per-cause `replay` attribution is compared too).
 #[test]
 fn tape_replay_matches_interpreter_per_workload_family() {
     // integer / pointer-chase / FP-streaming / FP-mixed archetypes.
@@ -68,15 +70,20 @@ fn tape_replay_matches_interpreter_per_workload_family() {
         for lat in [2, 10] {
             let c = compiled(bench, lat);
             for hw in [HwConfig::Mc0Wma, HwConfig::InCache, HwConfig::NoRestrict] {
-                let cfg = SimConfig::baseline(hw.clone()).at_latency(lat);
-                let replayed = run_compiled(bench, &c, &cfg).unwrap();
-                let interpreted = run_compiled_interpreted(bench, &c, &cfg).unwrap();
-                assert_eq!(
-                    replayed,
-                    interpreted,
-                    "{bench} [{}] latency {lat}: tape replay diverged",
-                    hw.label()
-                );
+                for model in [ProcessorKind::SingleInOrder, ProcessorKind::ReplayCause] {
+                    let cfg = SimConfig::baseline(hw.clone())
+                        .at_latency(lat)
+                        .with_processor(model);
+                    let replayed = run_compiled(bench, &c, &cfg).unwrap();
+                    let interpreted = run_compiled_interpreted(bench, &c, &cfg).unwrap();
+                    assert_eq!(
+                        replayed,
+                        interpreted,
+                        "{bench} [{}] latency {lat} {}: tape replay diverged",
+                        hw.label(),
+                        model.label()
+                    );
+                }
             }
         }
     }
